@@ -211,6 +211,15 @@ def cmd_search(args: argparse.Namespace) -> int:
                     out = eng.search_msm(terms, args.msm, k=args.k,
                                          filter=filters)
                 else:
+                    # the plain path takes whitespace-split terms: an
+                    # operator here would be counted as a term
+                    ops = sorted({t for t in args.query.split()
+                                  if t in ("AND", "OR", "NOT")})
+                    if ops:
+                        print(f"error: boolean operators have no m-of-n "
+                              f"reading under --msm: {' '.join(ops)}",
+                              file=sys.stderr)
+                        return 2
                     out = eng.search_msm(args.query, args.msm, k=args.k)
             except (ValueError, NotImplementedError, TypeError) as exc:
                 print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,16 @@ Layout per term:
               blobs, enabling per-block skip decoding.
 
 All encode/decode paths are numpy-vectorized (no per-value Python in
-the hot path).
+the hot path).  Varint decode is also loop-free over byte width: value
+ends, per-byte shifts and one `bitwise_or.reduceat` assemble every value
+in a fixed number of numpy calls, and a buffer of single-byte values
+only (tf blobs, most position blobs) is returned as the bytes
+themselves.  Doc-id deltas of 64-bit hashed ids take 8-10 bytes,
+and a query decodes many short blocks, so a per-call cost that does not
+grow with width is what makes posting, skip-block and position decode
+cheap (the SIMD-style varint decoders of Lemire & Boytsov remove
+per-byte branching the same way).  A stream that ends inside a value or
+before the requested count raises ValueError.
 """
 
 from __future__ import annotations
@@ -68,24 +77,48 @@ def varint_byte_lengths(values: np.ndarray) -> np.ndarray:
 
 
 def varint_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarray:
-    """varint stream -> uint64 array (vectorized)."""
-    b = np.frombuffer(buf, dtype=np.uint8) if not isinstance(buf, np.ndarray) else buf
-    if len(b) == 0:
+    """LEB128 varint stream -> uint64 array: the first `count` values,
+    or every value when `count` is None.
+
+    Loop-free: value ends are the bytes < 0x80; each byte's shift is
+    7 * (its index - its value's start byte), and one
+    `bitwise_or.reduceat` over the shifted 7-bit groups assembles every
+    value at once, so the numpy call count does not grow with the byte
+    width (64-bit doc-id deltas take 8-10 bytes).  Fast path: when the
+    buffer is exactly `count` single-byte values (tf blobs, most
+    position blobs) the values are the bytes themselves.
+
+    Raises ValueError when the stream ends before `count` values (or,
+    with count=None, ends inside a value)."""
+    b = buf if isinstance(buf, np.ndarray) else np.frombuffer(buf, dtype=np.uint8)
+    n = len(b) if count is None else count
+    if n == len(b) and (n == 0 or b.max() < 0x80):
+        return b.astype(np.uint64)
+    # ndarray methods and ufuncs directly: numpy's Python-level wrappers
+    # (flatnonzero, repeat) cost as much as the work on a short block
+    ends = (b < 0x80).nonzero()[0]
+    if count is None:
+        n = len(ends)
+        complete = (int(ends[-1]) + 1 if n else 0) == len(b)
+    else:
+        complete = len(ends) >= n
+    if not complete:
+        raise ValueError(
+            f"truncated varint stream: {len(b)} bytes hold {len(ends)} "
+            f"complete values, {'all bytes' if count is None else n} wanted"
+        )
+    if n == 0:
         return np.empty(0, dtype=np.uint64)
-    ends = np.flatnonzero(b < 0x80)
-    if count is not None:
-        ends = ends[:count]
-    starts = np.empty(len(ends), dtype=np.int64)
+    ends = ends[:n]
+    last = int(ends[-1])
+    starts = np.empty(n, dtype=np.int64)
     starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    vals = np.zeros(len(ends), dtype=np.uint64)
-    width = ends - starts + 1
-    max_width = int(width.max()) if len(width) else 0
-    for i in range(max_width):
-        active = width > i
-        idx = starts[active] + i
-        vals[active] |= (b[idx] & np.uint64(0x7F)).astype(np.uint64) << np.uint64(7 * i)
-    return vals
+    np.add(ends[:-1], 1, out=starts[1:])
+    shift = np.arange(last + 1, dtype=np.int64)
+    shift -= starts.repeat(ends - starts + 1)
+    shift *= 7
+    groups = (b[: last + 1] & np.uint8(0x7F)).astype(np.uint64)
+    return np.bitwise_or.reduceat(groups << shift.astype(np.uint64), starts)
 
 
 @dataclass
@@ -145,8 +178,7 @@ def decode_postings(enc: EncodedPostings, block_size: int = 128) -> tuple[np.nda
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
     deltas = varint_decode(enc.doc_blob, enc.count)
     tfs = varint_decode(enc.tf_blob, enc.count)
-    doc_ids = np.cumsum(deltas, dtype=np.uint64)
-    return doc_ids, tfs
+    return deltas.cumsum(out=deltas), tfs
 
 
 def encode_postings_bulk(
@@ -502,6 +534,14 @@ def decode_postings_any(
     deltas = stream(enc.doc_blob, enc.count, enc.block_doc_off, block_size)
     tfs = stream(enc.tf_blob, enc.count, enc.block_tf_off, block_size)
     return np.cumsum(deltas, dtype=np.uint64), tfs
+
+
+def decode_tfs(enc: EncodedPostings, block_size: int = 128, codec: str = "varint") -> np.ndarray:
+    """tf stream only: position counts need no doc ids, and the doc-id
+    delta stream is the costly one to decode."""
+    if codec == "varint":
+        return varint_decode(enc.tf_blob, enc.count)
+    return decode_postings_any(enc, block_size, codec)[1]
 
 
 # ------------------------------------------------------------ PFor codec

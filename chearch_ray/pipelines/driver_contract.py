@@ -12,7 +12,9 @@ repeated queries() calls reuse the index.
 
 from __future__ import annotations
 
+import glob
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -3039,16 +3041,9 @@ def q_orders_page(sf_dir: str) -> pa.Table:
         columns=["o_orderkey", "o_custkey", "o_orderdate"])
 
 
-# DRIVER ROTATION — the driver harness checks the FIRST 50 entries of
-# this dict (insertion order).  CORRECTNESS_r01–r04 cumulatively cover
-# 110 queries; the 45 entries in the first section below had never
-# appeared in any CORRECTNESS_r*.json as of round 4, so they register
-# FIRST for round 5 (VERDICT r4 "Next round" #1).  Slot 46 re-checks
-# pq_knn, which gained an exact oracle this round (it was r04's sole
-# `no_oracle` row — VERDICT r4 #2); slots 47–50 re-check the core
-# index surface so regressions there still surface in the same round.
-QUERIES = {
-    # --- round-5 rotation: never driver-checked in r1–r4 (45) --------
+# Every driver query, by name.  Registration order carries no meaning:
+# QUERIES (below) is the order the driver sees.
+_REGISTRY = {
     "order_count_distribution": q_order_count_distribution,
     "top_supplier": q_top_supplier,
     "large_volume_orders": q_large_volume_orders,
@@ -3094,23 +3089,11 @@ QUERIES = {
     "qty_percent_rank": q_qty_percent_rank,
     "media_resize": q_media_resize,
     "media_frames": q_media_frames,
-    # --- slot 46 (round-5 final session, never checked): the 0xFE
-    # --- search-and-display composition — BM25 + docstore snippet ----
     "search_snippets": q_search_snippets,
-    # --- slots 47–49 (round-5 fifth window, never checked): the new
-    # --- grammar surface — bracket RANGE filters (numeric doc_len
-    # --- interval through search_parsed), suffix+infix wildcards in
-    # --- one combined disjunction (sidecar + anchor-dictionary
-    # --- routes), and Lucene-style scoring explain -------------------
     "range_filter_query": q_range_filter_query,
     "suffix_wildcard_bm25": q_suffix_wildcard_bm25,
     "explain_bm25": q_explain_bm25,
-    # --- slot 50: r04's only no-oracle row, now value-exact ----------
     "pq_knn": q_pq_knn,
-    # --- round-5 sixth-window additions (below the 50-slot driver
-    # --- window — the window's slots all belong to never-checked
-    # --- rows; these are oracle-swept by tests/test_entry*.py at two
-    # --- scales like every registry row) -----------------------------
     "regexp_bm25": q_regexp_bm25,
     "msm_bm25": q_msm_bm25,
     "collapse_by_lang": q_collapse_by_lang,
@@ -3119,14 +3102,9 @@ QUERIES = {
     "span_first": q_span_first,
     "collapse_filtered": q_collapse_filtered,
     "facet_stats": q_facet_stats,
-    # --- round 1–4 re-checks from here (fingerprint/minhash/simhash
-    # --- carry newer exact mirrors, proven by tests/test_entry.py at
-    # --- two scales; the 50-cap pushed them below the window) --------
     "fingerprint": q_fingerprint,
     "minhash_pairs": q_minhash_pairs,
     "simhash_pairs": q_simhash_pairs,
-    # --- round 1–4 re-checks (beyond the driver's 50-cap; still run
-    # --- by tests/test_entry.py against the same oracles) ------------
     "bm25_single": q_bm25_single,
     "hybrid_rrf": q_hybrid_rrf,
     "line_dedup": q_line_dedup,
@@ -3230,6 +3208,29 @@ QUERIES = {
     "quality": q_quality,
     "media_features": q_media_features,
 }
+
+
+def _driver_checked() -> set[str]:
+    """Names value-checked by any committed CORRECTNESS_r*.json.  A row
+    whose every recorded run errored (no oracle, crash) counts as
+    unchecked: it was never value-verified."""
+    repo = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    checked: set[str] = set()
+    for path in sorted(glob.glob(os.path.join(repo, "CORRECTNESS_r*.json"))):
+        with open(path) as f:
+            for name, row in json.load(f).items():
+                if not (isinstance(row, dict) and row.get("err")):
+                    checked.add(name)
+    return checked
+
+
+# DRIVER ROTATION — the driver harness checks the FIRST 50 entries of
+# QUERIES (insertion order).  The order is derived here, at import,
+# from the committed CORRECTNESS_r*.json files: never-checked rows
+# first, then already-checked ones, each group by name.  A new
+# correctness record therefore rotates the window by itself.
+_CHECKED = _driver_checked()
+QUERIES = dict(sorted(_REGISTRY.items(), key=lambda kv: (kv[0] in _CHECKED, kv[0])))
 
 
 # ---------------------------------------------------------- oracle SQL

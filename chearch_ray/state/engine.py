@@ -14,6 +14,7 @@ document count" the reference lists as TODO (docs/TODO.txt:9-10).
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 
@@ -1379,6 +1380,15 @@ class QueryEngine:
                         "n": agg["n_sum"].cast(pa.int64())})
         return agg.take(pc.sort_indices(agg, sort_keys=[("bucket_lo", "ascending")]))
 
+    @functools.cached_property
+    def _docmap_schema(self) -> pa.Schema | None:
+        """Arrow schema of the index's docmap files (None when the index
+        has no docmap, e.g. an empty corpus), read from one footer."""
+        parts = self.manifest.docmap_parts
+        if not parts:
+            return None
+        return pq.read_schema(os.path.join(self.index_dir, parts[0]["path"]))
+
     def facet_stats(self, query: str | ast.Node, by: str = "lang",
                     default_op: str = "or",
                     filter: dict[str, list] | None = None) -> pa.Table:
@@ -1389,7 +1399,14 @@ class QueryEngine:
         (sum/min/max merge exactly); mean is computed ONCE here as
         sum/n in float64, so it is bit-identical to the SQL
         sum::DOUBLE / count::DOUBLE mirror.  `filter` narrows the
-        counted set by docmap metadata."""
+        counted set by docmap metadata.  A zero-match query returns
+        an empty table with the same typed schema; an unknown `by`
+        raises ValueError."""
+        schema = self._docmap_schema
+        if schema is not None and by not in schema.names:
+            raise ValueError(
+                f"facet_stats by must be a docmap column {schema.names}, "
+                f"not {by!r}")
         node = self._plan(parse_query(query, default_op))
         if self.use_actors:
             import ray
@@ -1403,7 +1420,13 @@ class QueryEngine:
                       for s in self._local]
         merged = pa.concat_tables(tables)
         if len(merged) == 0:
-            return merged
+            by_type = schema.field(by).type if schema is not None else pa.string()
+            return pa.table({
+                by: pa.array([], type=by_type),
+                **{c: pa.array([], type=pa.int64())
+                   for c in ("n", "sum_dl", "min_dl", "max_dl")},
+                "mean_dl": pa.array([], type=pa.float64()),
+            })
         agg = merged.group_by(by, use_threads=False).aggregate(
             [("n", "sum"), ("sum_dl", "sum"), ("min_dl", "min"),
              ("max_dl", "max")])

@@ -295,10 +295,9 @@ class PostingsPartReader:
         hit = self._pos_counts_cache.get(term)
         if hit is not None:
             return hit
-        from chearch_ray.functions.codec import decode_postings_any
+        from chearch_ray.functions.codec import decode_tfs
 
-        enc = self.encoded(term)
-        _, tfs = decode_postings_any(enc, self.block_size, self._codec)
+        tfs = decode_tfs(self.encoded(term), self.block_size, self._codec)
         tfs = tfs.astype(np.int64)
         out = np.minimum(tfs, self._max_pos) if self._max_pos > 0 else tfs
         if len(self._pos_counts_cache) > 1024:
@@ -512,8 +511,6 @@ class PostingsPartReader:
         the rebuild without re-encoding.  None when positions were not
         stored; legacy nested files re-pack."""
         if self._pos_blob is not None:
-            from chearch_ray.functions.codec import varint_decode
-
             parts: list[pa.Array] = []
             for term in self._terms:
                 i = self._terms[term]

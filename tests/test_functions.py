@@ -110,11 +110,103 @@ def test_sha256_matches_duckdb():
 
 
 # ----------------------------------------------------------------- codec
-@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=100))
+def _leb128_reference(buf: bytes, count: int | None = None) -> list[int]:
+    """Byte-at-a-time LEB128 decoder: the spec the vectorized one
+    must agree with."""
+    out, val, shift = [], 0, 0
+    for byte in buf:
+        if count is not None and len(out) == count:
+            break
+        val |= (byte & 0x7F) << shift
+        shift += 7
+        if byte < 0x80:
+            out.append(val)
+            val, shift = 0, 0
+    return out
+
+
+# every LEB128 width from 1 byte (0, 127) to 10 bytes (2^63, 2^64-1)
+_WIDTH_EDGES = [0, 1, 127, 128, 2**14 - 1, 2**14, 2**35, 2**56 - 1,
+                2**56, 2**63 - 1, 2**63, 2**64 - 1]
+_u64_mixed = st.one_of(
+    st.sampled_from(_WIDTH_EDGES),
+    st.integers(min_value=0, max_value=127),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+
+
+@given(st.lists(_u64_mixed, max_size=100), st.data())
+@settings(max_examples=300)
+def test_varint_roundtrip(values, data):
+    enc = codec.varint_encode(np.array(values, dtype=np.uint64))
+    assert codec.varint_decode(enc, len(values)).tolist() == values
+    assert codec.varint_decode(enc).tolist() == _leb128_reference(enc) == values
+    # count smaller than the number of values: only a prefix is read
+    count = data.draw(st.integers(min_value=0, max_value=len(values)))
+    assert codec.varint_decode(enc, count).tolist() == values[:count]
+
+
+@given(st.lists(_u64_mixed, min_size=1, max_size=40),
+       st.lists(_u64_mixed, min_size=1, max_size=5), st.data())
 @settings(max_examples=200)
-def test_varint_roundtrip(values):
-    arr = np.array(values, dtype=np.uint64)
-    assert codec.varint_decode(codec.varint_encode(arr), len(arr)).tolist() == values
+def test_varint_decode_offset_view(values, prefix, data):
+    """decode_block/decode_blocks pass a uint8 view that starts mid-
+    buffer (a block's byte range) and has trailing bytes of the next
+    block after `count` values."""
+    head = codec.varint_encode(np.array(prefix, dtype=np.uint64))
+    body = codec.varint_encode(np.array(values, dtype=np.uint64))
+    whole = np.frombuffer(head + body + b"\x85\x01\x07", dtype=np.uint8)
+    view = whole[len(head):]
+    assert view.base is not None and view.ctypes.data > whole.ctypes.data
+    count = data.draw(st.integers(min_value=1, max_value=len(values)))
+    got = codec.varint_decode(view, count)
+    assert got.tolist() == _leb128_reference(bytes(view), count) == values[:count]
+    assert got.dtype == np.uint64
+
+
+def test_varint_decode_single_byte_fast_path():
+    """A stream of 1-byte values (tf blobs) returns the bytes widened,
+    including when more bytes follow the requested prefix."""
+    vals = np.arange(128, dtype=np.uint64)
+    enc = codec.varint_encode(vals)
+    assert len(enc) == len(vals)
+    assert codec.varint_decode(enc).tolist() == vals.tolist()
+    got = codec.varint_decode(enc + codec.varint_encode(np.array([2**40], np.uint64)), 128)
+    assert got.dtype == np.uint64 and got.tolist() == vals.tolist()
+    # a multi-byte value past `count` must not be read
+    assert codec.varint_decode(b"\x03\x04\x80\x80\x01", 2).tolist() == [3, 4]
+
+
+@pytest.mark.parametrize(
+    "buf,count",
+    [
+        (b"\x80", None),  # no terminating byte at all
+        (b"\x80\x80", 1),
+        (b"\x05\x80", None),  # ends inside the second value
+        (b"\x05", 2),  # fewer terminated values than requested
+        (codec.varint_encode(np.array([1, 2**63], np.uint64))[:-1], 2),
+    ],
+)
+def test_varint_decode_truncated_raises(buf, count):
+    with pytest.raises(ValueError, match="^truncated varint stream: "):
+        codec.varint_decode(buf, count)
+
+
+def test_varint_decode_empty():
+    assert codec.varint_decode(b"").tolist() == []
+    assert codec.varint_decode(b"", 0).tolist() == []
+    assert codec.varint_decode(b"\x05\x06", 0).tolist() == []
+    assert codec.varint_decode(b"").dtype == np.uint64
+
+
+def test_decode_postings_truncated_blob_raises():
+    """A tf blob short of `count` values used to decode short and
+    misalign docs against tfs."""
+    enc = codec.encode_postings(np.arange(1, 10, dtype=np.uint64) * 1000,
+                                np.ones(9, dtype=np.uint64))
+    enc.tf_blob = enc.tf_blob[:-1]
+    with pytest.raises(ValueError, match="truncated varint stream"):
+        codec.decode_postings(enc)
 
 
 def test_varint_lengths():
@@ -432,3 +524,38 @@ def test_set_op_semantics_property():
         assert len(inter) + len(exc) == len(set(a))
 
     check()
+
+
+def test_decode_stats_pinned_for_fixed_queries(ray_session, tmp_path):
+    """The decoder changes how blocks are decoded, never which: for a
+    fixed index and query set (skip-block probes, MaxScore top-k,
+    positions) the searcher's block counters stay at these values."""
+    import ray.data
+
+    from chearch_ray import ast
+    from chearch_ray.config import EngineConfig
+    from chearch_ray.pipelines.build import build_index
+    from chearch_ray.state.engine import QueryEngine
+
+    n = 1200
+    corpus = pa.table({
+        "repo": ["r"] * n, "path": [f"f{i}.py" for i in range(n)],
+        "commit": ["c"] * n, "lang": ["py"] * n,
+        "content": [f"hotterm filler{i % 50} "
+                    + ("raregem " if i % 97 == 0 else "")
+                    + ("bterm" if i % 7 == 0 else "") for i in range(n)],
+    })
+    root = str(tmp_path / "idx")
+    build_index(ray.data.from_arrow(corpus), root,
+                EngineConfig(num_segments=2, num_term_shards=2, block_size=16))
+    eng = QueryEngine(root, use_actors=False)
+    sizes = [
+        len(eng.search_boolean(ast.And(ast.Term("raregem"), ast.Term("hotterm")))),
+        len(eng.search("raregem hotterm", k=5, default_op="and")),
+        len(eng.search("bterm OR hotterm", k=10)),
+        len(eng.search_phrase("hotterm filler7", k=5)),
+    ]
+    assert sizes == [13, 5, 10, 5]
+    totals = {k: sum(s.decode_stats[k] for s in eng._local)
+              for k in ("blocks_decoded", "blocks_total", "full_decodes")}
+    assert totals == {"blocks_decoded": 89, "blocks_total": 228, "full_decodes": 8}

@@ -1124,6 +1124,47 @@ def test_facet_stats_filtered(eng):
         assert got["n"][i].as_py() == by_lang[lang]
 
 
+def test_facet_stats_zero_match_typed_schema(eng):
+    """A zero-match query returns the same typed schema as a hit."""
+    hit = eng.facet_stats("def return", by="lang")
+    empty = eng.facet_stats("__never_present__", by="lang")
+    assert len(empty) == 0
+    assert empty.schema == hit.schema
+    assert empty.column_names == ["lang", "n", "sum_dl", "min_dl",
+                                  "max_dl", "mean_dl"]
+    # a numeric facet keeps its docmap type when empty
+    num = eng.facet_stats("__never_present__", by="doc_len")
+    assert num.schema.field("doc_len").type == eng._docmap_schema.field(
+        "doc_len").type
+
+
+def test_facet_stats_unknown_by_raises(eng):
+    with pytest.raises(ValueError, match="docmap column"):
+        eng.facet_stats("def", by="no_such_column")
+
+
+def test_cli_msm_rejects_boolean_operators(eng):
+    """The plain --msm path splits on whitespace; an uppercase AND/OR/
+    NOT there is an operator, not a term, so it is refused in one
+    line instead of being counted toward m."""
+    import os
+    import subprocess
+    import sys as _sys
+
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(
+                   os.path.abspath(__file__))))
+    for q in ["def OR return", "def AND return", "def NOT return"]:
+        p = subprocess.run(
+            [_sys.executable, "-m", "chearch_ray", "search",
+             "--index", eng.index_dir, "--local", "--query", q,
+             "--msm", "2"],
+            capture_output=True, text=True, env=env)
+        assert p.returncode == 2, (q, p.stdout, p.stderr)
+        assert "boolean operators have no m-of-n reading" in p.stderr
+        assert len(p.stderr.strip().splitlines()) == 1, p.stderr
+
+
 def test_span_first_requires_positions(ray_session, tmp_path):
     """An index built without positions refuses span-first with a
     clean error (the phrase/NEAR guard), not a decode crash."""
