@@ -275,6 +275,10 @@ def cmd_search(args: argparse.Namespace) -> int:
             out = eng.search(args.query, k=args.k, default_op=args.op)
         for row in out.to_pylist():
             print(row)
+    except ValueError as exc:
+        # operator mistakes on every path (e.g. --k 0) get one line
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         eng.close()
     return 0

@@ -2,9 +2,11 @@
 
 Reference mapping: the driver-side query() iterator that copies the
 query to every locale and merges per-locale results
-(searchindex.chpl:86-168) becomes: fan the query out to one
-SegmentSearcher actor per doc-segment (`ray.get` on remote calls),
-then a driver-side merge of <= num_segments * k rows — tiny.
+(searchindex.chpl:86-168) becomes: fan the query out to the
+SearcherGroup actors that hold the doc-segments (`ray.get` on remote
+calls; an actorless engine calls one in-process group), each of which
+merges its segments' hits and projects metadata for its own top-k
+only, then a driver-side merge of <= groups * k rows — tiny.
 
 Global BM25 consistency: idf is computed HERE from the global term
 stats (df summed across segments at build time) and shipped with the
@@ -24,7 +26,14 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from chearch_ray import ast
-from chearch_ray.state.searcher import SearcherGroup, SegmentSearcher, bm25_idf, topk_order
+from chearch_ray.state.searcher import (
+    RESULT_META_COLUMNS,
+    SearcherGroup,
+    bm25_idf,
+    collapse_order,
+    column_codes,
+    topk_order,
+)
 from chearch_ray.state.segment import Manifest
 
 #: bound on the ANCHOR-side candidate gather inside expand_wildcard —
@@ -230,7 +239,10 @@ class QueryEngine:
                 cls.remote(index_dir, segs, self.cfg) for segs in self.actor_segments
             ]
         else:
-            self._local = [SegmentSearcher(index_dir, seg, self.cfg) for seg in self.segments]
+            # per-segment searchers stay addressable (serve.py, tests);
+            # queries go through one in-process group wrapping them
+            self._group = SearcherGroup(index_dir, self.segments, self.cfg)
+            self._local = self._group.members
 
     def actor_nodes(self) -> list[str]:
         """Ray node id per searcher-group actor (placement diagnostic:
@@ -241,6 +253,49 @@ class QueryEngine:
         import ray
 
         return ray.get([a.node_id.remote() for a in self._actors])
+
+    # ------------------------------------------------------ fan-out
+    def _scatter(self, method: str, *args, **kw) -> list:
+        """`method` on every searcher group — the actors, or the one
+        in-process group — one result per group."""
+        if self.use_actors:
+            import ray
+
+            return ray.get([getattr(a, method).remote(*args, **kw)
+                            for a in self._actors])
+        return [getattr(self._group, method)(*args, **kw)]
+
+    def _k(self, k) -> int:
+        """The k rule of every top-k operator: None means the index's
+        default_k, an int >= 1 is used as is, anything else raises."""
+        if k is None:
+            return self.cfg.default_k
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(f"k must be an integer >= 1 or None, not {k!r}")
+        return int(k)
+
+    def _topk(self, method: str, k, collapse: str | None = None, **kw) -> pa.Table:
+        """The shared top-k path: validate k, run group operator
+        `method` (keyword arguments) everywhere, merge the groups'
+        tables (collapsed on column `collapse` when given)."""
+        k = self._k(k)
+        return self._merge_topk(self._scatter(method, k=k, **kw), k, collapse)
+
+    @staticmethod
+    def _merge_topk(tables: list, k: int, collapse: str | None = None) -> pa.Table:
+        """Global (score desc, doc key asc) top-k over the groups'
+        top-k tables.  Each group already merged and projected its own
+        members' hits (SearcherGroup._topk), so a single group's table
+        IS the answer."""
+        if len(tables) == 1:
+            return tables[0]
+        merged = pa.concat_tables(tables)
+        scores, key = merged["score"].to_numpy(), _merge_tie_key(merged)
+        if collapse is None:
+            order = topk_order(scores, key, k)
+        else:
+            order = collapse_order(column_codes(merged[collapse]), scores, key, k)
+        return merged.take(pa.array(order, type=pa.int64()))
 
     # ------------------------------------------------------------ stats
     def df(self, term: str) -> int:
@@ -701,36 +756,12 @@ class QueryEngine:
         # plans once for snippet-term extraction) — re-planning is
         # idempotent but re-walks the whole expanded tree per request
         node = query if _planned else self._plan(parse_query(query, default_op))
-        k = k or self.cfg.default_k
         idfs = self.idfs_for(node, boosts)
-        if self.use_actors:
-            import ray
-
-            if filter is not None:
-                tables = ray.get(
-                    [a.search_bm25_filtered.remote(node, k, idfs, self.avgdl, filter,
-                                                   with_meta=with_meta)
-                     for a in self._actors]
-                )
-            else:
-                tables = ray.get(
-                    [a.search_bm25.remote(node, k, idfs, self.avgdl,
-                                          with_meta=with_meta)
-                     for a in self._actors]
-                )
-        elif filter is not None:
-            tables = [s.search_bm25_filtered(node, k, idfs, self.avgdl, filter,
-                                             with_meta=with_meta)
-                      for s in self._local]
-        else:
-            tables = [s.search_bm25(node, k, idfs, self.avgdl,
-                                    with_meta=with_meta) for s in self._local]
-        merged = pa.concat_tables(tables)
-        if len(merged) == 0:
-            return merged
-        scores = merged["score"].to_numpy()
-        order = topk_order(scores, _merge_tie_key(merged), k)
-        return merged.take(pa.array(order, type=pa.int64()))
+        if filter is None:
+            return self._topk("search_bm25", k, node=node, idfs=idfs,
+                              avgdl=self.avgdl, with_meta=with_meta)
+        return self._topk("search_bm25_filtered", k, node=node, idfs=idfs,
+                          avgdl=self.avgdl, flt=filter, with_meta=with_meta)
 
     def explain(self, query: str | ast.Node, k: int | None = None,
                 default_op: str = "or",
@@ -758,14 +789,7 @@ class QueryEngine:
         lo = top["doc_id"].to_numpy().astype(np.uint64)
         wide = "doc_id_hi" in top.column_names
         hi = top["doc_id_hi"].to_numpy().astype(np.uint64) if wide else None
-        if self.use_actors:
-            import ray
-
-            parts = ray.get([a.explain_rows.remote(terms, lo, hi)
-                             for a in self._actors])
-        else:
-            parts = [s.explain_rows(terms, lo, hi) for s in self._local]
-        per = pa.concat_tables(parts)
+        per = pa.concat_tables(self._scatter("explain_rows", terms, lo, hi))
         # rank/score lookups keyed by (hi, lo) in wide mode, lo alone
         # otherwise; each result doc lives in exactly one segment, so
         # the concat has one row per (doc, matching term)
@@ -826,25 +850,8 @@ class QueryEngine:
         scores are deterministic floats produced by this same
         engine."""
         node = self._plan(parse_query(query, default_op))
-        k = k or self.cfg.default_k
-        idfs = self.idfs_for(node)
-        after = tuple(cursor)
-        if self.use_actors:
-            import ray
-
-            tables = ray.get(
-                [a.search_bm25.remote(node, k, idfs, self.avgdl, after)
-                 for a in self._actors]
-            )
-        else:
-            tables = [s.search_bm25(node, k, idfs, self.avgdl, after=after)
-                      for s in self._local]
-        merged = pa.concat_tables(tables)
-        if len(merged) == 0:
-            return merged
-        scores = merged["score"].to_numpy()
-        order = topk_order(scores, _merge_tie_key(merged), k)
-        return merged.take(pa.array(order, type=pa.int64()))
+        return self._topk("search_bm25", k, node=node, idfs=self.idfs_for(node),
+                          avgdl=self.avgdl, after=tuple(cursor))
 
     def search_msm(self, terms, m: int, k: int | None = None,
                    with_meta: bool = True,
@@ -859,39 +866,28 @@ class QueryEngine:
         count.  m == 1 is exactly the OR query; m == len(terms)
         admits exactly the AND candidate set (scores identical to the
         conjunctive path on those docs)."""
+        distinct, idfs = self._term_set(terms, "minimum-should-match")
+        if not 1 <= m <= len(distinct):
+            raise ValueError(
+                f"m={m} out of range [1, {len(distinct)}] for "
+                f"{len(distinct)} distinct terms")
+        return self._topk("search_msm", k, terms=distinct, m=m, idfs=idfs,
+                          avgdl=self.avgdl, with_meta=with_meta, flt=filter)
+
+    def _term_set(self, terms, what: str) -> tuple[list[str], dict[str, float]]:
+        """flat term-list operators (msm, dismax): `terms` as a list or
+        a whitespace string, lowercased, deduped first-seen -> (distinct
+        terms, their idfs)."""
         raw = ([t for t in terms.lower().split() if t]
                if isinstance(terms, str)
                else [str(t).lower() for t in terms])
         distinct = list(dict.fromkeys(raw))
         if not distinct:
-            raise ValueError("empty minimum-should-match query")
-        if not 1 <= m <= len(distinct):
-            raise ValueError(
-                f"m={m} out of range [1, {len(distinct)}] for "
-                f"{len(distinct)} distinct terms")
-        k = k or self.cfg.default_k
+            raise ValueError(f"empty {what} query")
         node: ast.Node = ast.Term(distinct[0])
         for t in distinct[1:]:
             node = ast.Or(node, ast.Term(t))
-        idfs = self.idfs_for(node)
-        if self.use_actors:
-            import ray
-
-            tables = ray.get(
-                [a.search_msm.remote(distinct, m, k, idfs, self.avgdl,
-                                     with_meta=with_meta, flt=filter)
-                 for a in self._actors]
-            )
-        else:
-            tables = [s.search_msm(distinct, m, k, idfs, self.avgdl,
-                                   with_meta=with_meta, flt=filter)
-                      for s in self._local]
-        merged = pa.concat_tables(tables)
-        if len(merged) == 0:
-            return merged
-        scores = merged["score"].to_numpy()
-        order = topk_order(scores, _merge_tie_key(merged), k)
-        return merged.take(pa.array(order, type=pa.int64()))
+        return distinct, self.idfs_for(node)
 
     def search_collapse(self, query: str | ast.Node, field: str = "lang",
                         k: int | None = None,
@@ -902,44 +898,16 @@ class QueryEngine:
         distinct `field` value, globally ordered (score desc, doc_id
         asc), top-k GROUPS.  `field` must be a docmap metadata column
         (the projected result columns).  Segments ship only their
-        per-segment group bests (top-k of them), which is exact —
-        see SegmentSearcher.search_collapse's argument."""
-        from chearch_ray.state.searcher import RESULT_META_COLUMNS
-
+        per-segment group bests (top-k of them), groups their
+        per-group ones, which is exact — see collapse_order."""
         if field not in RESULT_META_COLUMNS:
             raise ValueError(
                 f"collapse field must be a docmap metadata column "
                 f"{RESULT_META_COLUMNS}, not {field!r}")
         node = self._plan(parse_query(query, default_op))
-        k = k or self.cfg.default_k
-        idfs = self.idfs_for(node)
-        if self.use_actors:
-            import ray
-
-            tables = ray.get(
-                [a.search_collapse.remote(node, field, k, idfs, self.avgdl,
-                                          flt=filter)
-                 for a in self._actors]
-            )
-        else:
-            tables = [s.search_collapse(node, field, k, idfs, self.avgdl,
-                                        flt=filter)
-                      for s in self._local]
-        merged = pa.concat_tables(tables)
-        if len(merged) == 0:
-            return merged
-        scores = merged["score"].to_numpy()
-        order = topk_order(scores, _merge_tie_key(merged), len(merged))
-        vals = merged[field].to_pylist()
-        seen: set = set()
-        keep: list[int] = []
-        for i in order:
-            if vals[i] not in seen:
-                seen.add(vals[i])
-                keep.append(int(i))
-                if len(keep) == k:
-                    break
-        return merged.take(pa.array(keep, type=pa.int64()))
+        return self._topk("search_collapse", k, collapse=field, node=node,
+                          field=field, idfs=self.idfs_for(node),
+                          avgdl=self.avgdl, flt=filter)
 
     def search_boolean(self, query: str | ast.Node, default_op: str = "or",
                        filter: dict[str, list[str]] | None = None,
@@ -962,22 +930,11 @@ class QueryEngine:
         if contains_phrase(parsed):
             return self._boolean_with_phrases(parsed, filter=filter, limit=limit)
         node = self._plan(parsed)
-        if self.use_actors:
-            import ray
-
-            if filter is not None:
-                tables = ray.get(
-                    [a.search_boolean_filtered.remote(node, filter, limit)
-                     for a in self._actors]
-                )
-            else:
-                tables = ray.get(
-                    [a.search_boolean.remote(node, limit, with_meta) for a in self._actors]
-                )
-        elif filter is not None:
-            tables = [s.search_boolean_filtered(node, filter, limit) for s in self._local]
+        if filter is None:
+            tables = self._scatter("search_boolean", node, limit, with_meta)
         else:
-            tables = [s.search_boolean(node, limit, with_meta) for s in self._local]
+            tables = self._scatter("search_boolean_filtered", node, filter, limit,
+                                   with_meta)
         merged = pa.concat_tables(tables)
         if len(merged) == 0:
             return merged
@@ -996,39 +953,12 @@ class QueryEngine:
         pure max; tie=1 recovers the plain disjunctive sum.  `terms`
         as in search_msm (list or whitespace string; dedup
         first-seen)."""
-        raw = ([t for t in terms.lower().split() if t]
-               if isinstance(terms, str)
-               else [str(t).lower() for t in terms])
-        distinct = list(dict.fromkeys(raw))
-        if not distinct:
-            raise ValueError("empty dismax query")
+        distinct, idfs = self._term_set(terms, "dismax")
         if not 0.0 <= tie <= 1.0:
             raise ValueError(f"tie breaker must be in [0, 1], not {tie}")
-        k = k or self.cfg.default_k
-        node: ast.Node = ast.Term(distinct[0])
-        for t in distinct[1:]:
-            node = ast.Or(node, ast.Term(t))
-        idfs = self.idfs_for(node)
-        if self.use_actors:
-            import ray
-
-            tables = ray.get(
-                [a.search_dismax.remote(distinct, float(tie), k, idfs,
-                                        self.avgdl, with_meta=with_meta,
-                                        flt=filter)
-                 for a in self._actors]
-            )
-        else:
-            tables = [s.search_dismax(distinct, float(tie), k, idfs,
-                                      self.avgdl, with_meta=with_meta,
-                                      flt=filter)
-                      for s in self._local]
-        merged = pa.concat_tables(tables)
-        if len(merged) == 0:
-            return merged
-        scores = merged["score"].to_numpy()
-        order = topk_order(scores, _merge_tie_key(merged), k)
-        return merged.take(pa.array(order, type=pa.int64()))
+        return self._topk("search_dismax", k, terms=distinct, tie=float(tie),
+                          idfs=idfs, avgdl=self.avgdl, with_meta=with_meta,
+                          flt=filter)
 
     def search_span_first(self, term: str, limit_pos: int,
                           k: int | None = None,
@@ -1047,28 +977,9 @@ class QueryEngine:
             raise ValueError(f"span_first takes one plain term, not {term!r}")
         if limit_pos < 1:
             raise ValueError("limit_pos must be >= 1")
-        k = k or self.cfg.default_k
-        idfs = self.idfs_for(ast.Term(t))
-        if self.use_actors:
-            import ray
-
-            tables = ray.get(
-                [a.search_span_first.remote(t, int(limit_pos), k, idfs,
-                                            self.avgdl, with_meta=with_meta,
-                                            flt=filter)
-                 for a in self._actors]
-            )
-        else:
-            tables = [s.search_span_first(t, int(limit_pos), k, idfs,
-                                          self.avgdl, with_meta=with_meta,
-                                          flt=filter)
-                      for s in self._local]
-        merged = pa.concat_tables(tables)
-        if len(merged) == 0:
-            return merged
-        scores = merged["score"].to_numpy()
-        order = topk_order(scores, _merge_tie_key(merged), k)
-        return merged.take(pa.array(order, type=pa.int64()))
+        return self._topk("search_span_first", k, term=t, limit_pos=int(limit_pos),
+                          idfs=self.idfs_for(ast.Term(t)), avgdl=self.avgdl,
+                          with_meta=with_meta, flt=filter)
 
     def count(self, query: str | ast.Node, default_op: str = "or",
               filter: dict[str, list] | None = None) -> int:
@@ -1084,13 +995,7 @@ class QueryEngine:
         if contains_phrase(parsed):
             return len(self._boolean_with_phrases(parsed, filter=filter,
                                                   limit=1 << 62))
-        node = self._plan(parsed)
-        if self.use_actors:
-            import ray
-
-            return sum(ray.get([a.count.remote(node, flt=filter)
-                                for a in self._actors]))
-        return sum(s.count(node, flt=filter) for s in self._local)
+        return sum(self._scatter("count", self._plan(parsed), flt=filter))
 
     # ------------------------------------------- phrase-in-boolean
     def _id_columns(self) -> list[str]:
@@ -1172,19 +1077,12 @@ class QueryEngine:
         column (index into `queries`), each query's rows ordered
         (score desc, doc_id asc)."""
         nodes = [self._plan(parse_query(q, default_op)) for q in queries]
-        k = k or self.cfg.default_k
+        k = self._k(k)
         idfs: dict[str, float] = {}
         for node in nodes:
             idfs.update(self.idfs_for(node))
-        if self.use_actors:
-            import ray
-
-            tables = ray.get(
-                [a.search_bm25_batch.remote(nodes, k, idfs, self.avgdl) for a in self._actors]
-            )
-        else:
-            tables = [s.search_bm25_batch(nodes, k, idfs, self.avgdl) for s in self._local]
-        merged = pa.concat_tables(tables)
+        merged = pa.concat_tables(
+            self._scatter("search_bm25_batch", nodes, k, idfs, self.avgdl))
         if len(merged) == 0:
             return merged
         qids = merged["query_id"].to_numpy()
@@ -1299,7 +1197,7 @@ class QueryEngine:
             if len(rows) == 0:
                 raise KeyError(f"doc {doc_id} not in docstore")
             text = rows["text"][0].as_py()
-            kk = (k or self.cfg.default_k) + 1
+            kk = self._k(k) + 1
             out = self.more_like_this(text, n_terms, kk)
             wide = doc_hi is not None and "doc_id_hi" in out.column_names
             keep = [
@@ -1327,8 +1225,6 @@ class QueryEngine:
         scored.sort()
         pick = [t for _, t in scored[:n_terms]]
         if not pick:
-            from chearch_ray.state.searcher import RESULT_META_COLUMNS
-
             cols = {"doc_id": pa.array([], type=pa.uint64()),
                     "score": pa.array([], type=pa.float64())}
             for name in RESULT_META_COLUMNS:
@@ -1364,15 +1260,7 @@ class QueryEngine:
         partition_limit result window; each segment ships only its
         histogram partial."""
         node = self._plan(parse_query(query, default_op))
-        if self.use_actors:
-            import ray
-
-            tables = ray.get(
-                [a.facet_histogram.remote(node, bucket_width) for a in self._actors]
-            )
-        else:
-            tables = [s.facet_histogram(node, bucket_width) for s in self._local]
-        merged = pa.concat_tables(tables)
+        merged = pa.concat_tables(self._scatter("facet_histogram", node, bucket_width))
         if len(merged) == 0:
             return merged
         agg = merged.group_by("bucket_lo", use_threads=False).aggregate([("n", "sum")])
@@ -1408,17 +1296,7 @@ class QueryEngine:
                 f"facet_stats by must be a docmap column {schema.names}, "
                 f"not {by!r}")
         node = self._plan(parse_query(query, default_op))
-        if self.use_actors:
-            import ray
-
-            tables = ray.get(
-                [a.facet_stats.remote(node, by, flt=filter)
-                 for a in self._actors]
-            )
-        else:
-            tables = [s.facet_stats(node, by, flt=filter)
-                      for s in self._local]
-        merged = pa.concat_tables(tables)
+        merged = pa.concat_tables(self._scatter("facet_stats", node, by, flt=filter))
         if len(merged) == 0:
             by_type = schema.field(by).type if schema is not None else pa.string()
             return pa.table({
@@ -1452,21 +1330,8 @@ class QueryEngine:
         terms = phrase.lower().split() if isinstance(phrase, str) else [str(t) for t in phrase]
         if not terms:
             raise ValueError("empty phrase")
-        k = k or self.cfg.default_k
         idfs = {t: bm25_idf(self.n_docs, self.df(t)) for t in dict.fromkeys(terms)}
-        if self.use_actors:
-            import ray
-
-            tables = ray.get(
-                [a.search_phrase.remote(terms, k, idfs, self.avgdl) for a in self._actors]
-            )
-        else:
-            tables = [s.search_phrase(terms, k, idfs, self.avgdl) for s in self._local]
-        merged = pa.concat_tables(tables)
-        if len(merged) == 0:
-            return merged
-        order = topk_order(merged["score"].to_numpy(), _merge_tie_key(merged), k)
-        return merged.take(pa.array(order, type=pa.int64()))
+        return self._topk("search_phrase", k, terms=terms, idfs=idfs, avgdl=self.avgdl)
 
     def search_near(
         self,
@@ -1482,30 +1347,12 @@ class QueryEngine:
         Requires store_positions=True at build time.  Results are
         BM25-ranked over the two terms (score desc, doc_id asc)."""
         term_a, term_b = term_a.lower(), term_b.lower()
-        k = k or self.cfg.default_k
         idfs = {
             t: bm25_idf(self.n_docs, self.df(t))
             for t in dict.fromkeys([term_a, term_b])
         }
-        if self.use_actors:
-            import ray
-
-            tables = ray.get(
-                [
-                    a.search_near.remote(term_a, term_b, slop, ordered, k, idfs, self.avgdl)
-                    for a in self._actors
-                ]
-            )
-        else:
-            tables = [
-                s.search_near(term_a, term_b, slop, ordered, k, idfs, self.avgdl)
-                for s in self._local
-            ]
-        merged = pa.concat_tables(tables)
-        if len(merged) == 0:
-            return merged
-        order = topk_order(merged["score"].to_numpy(), _merge_tie_key(merged), k)
-        return merged.take(pa.array(order, type=pa.int64()))
+        return self._topk("search_near", k, term_a=term_a, term_b=term_b, slop=slop,
+                          ordered=ordered, idfs=idfs, avgdl=self.avgdl)
 
     def search_near_all(
         self,
@@ -1523,27 +1370,9 @@ class QueryEngine:
         terms = list(dict.fromkeys(t.lower() for t in terms))
         if not terms:
             raise ValueError("empty NEAR term list")
-        k = k or self.cfg.default_k
         idfs = {t: bm25_idf(self.n_docs, self.df(t)) for t in terms}
-        if self.use_actors:
-            import ray
-
-            tables = ray.get(
-                [
-                    a.search_near_all.remote(terms, slop, k, idfs, self.avgdl)
-                    for a in self._actors
-                ]
-            )
-        else:
-            tables = [
-                s.search_near_all(terms, slop, k, idfs, self.avgdl)
-                for s in self._local
-            ]
-        merged = pa.concat_tables(tables)
-        if len(merged) == 0:
-            return merged
-        order = topk_order(merged["score"].to_numpy(), _merge_tie_key(merged), k)
-        return merged.take(pa.array(order, type=pa.int64()))
+        return self._topk("search_near_all", k, terms=terms, slop=slop, idfs=idfs,
+                          avgdl=self.avgdl)
 
 
 class FieldedEngine:

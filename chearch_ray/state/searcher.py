@@ -114,6 +114,59 @@ def topk_order(scores: np.ndarray, doc_ids: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
+def collapse_order(codes: np.ndarray, scores: np.ndarray, keys: np.ndarray,
+                   k: int) -> np.ndarray:
+    """indices of the top-k GROUP representatives: each distinct code's
+    best row under (score desc, key asc), then the top-k of those in
+    the same order.  ONE integer lexsort — group code, then the rank
+    key — puts each group's best first in its run.  Exact at every
+    merge level (segment, group, engine): a group's representative is
+    the best of the representatives shipped from below, and if k groups
+    beat group G in one part, their representatives beat G's overall."""
+    if len(scores) == 0:
+        return np.empty(0, dtype=np.int64)
+    order = np.lexsort((keys, -scores, codes))
+    cs = codes[order]
+    reps = order[np.flatnonzero(np.r_[True, cs[1:] != cs[:-1]])]
+    return reps[topk_order(scores[reps], keys[reps], k)]
+
+
+def column_codes(arr: "pa.ChunkedArray") -> np.ndarray:
+    """dictionary codes of an Arrow column (nulls get their own code) —
+    integer group keys for collapse_order.  Arrow's dictionary_encode
+    stays in C++, where a numpy unique over Python strings would
+    dominate the whole query."""
+    import pyarrow.compute as pc
+
+    enc = pc.dictionary_encode(arr.combine_chunks(), null_encoding="encode")
+    return enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+#: result metadata schema, and its 64-bit-offset form
+_STRING_META = pa.schema([(c, pa.string()) for c in RESULT_META_COLUMNS])
+_LARGE_META = pa.schema([(c, pa.large_string()) for c in RESULT_META_COLUMNS])
+#: bytes one pa.string() array can address (32-bit offsets)
+_MAX_STRING_BYTES = 2**31 - 1
+
+
+def _string_view(col: "pa.LargeStringArray", off: int, n: int) -> "pa.Array | None":
+    """rows [off, off+n) of a large_string array as a pa.string() array
+    over the SAME data bytes, its offsets rebased to 32 bits.  None when
+    those rows hold more bytes than 32-bit offsets can address."""
+    import pyarrow.compute as pc
+
+    start = col.offset + off
+    offs = np.frombuffer(col.buffers()[1], dtype=np.int64)[start:start + n + 1]
+    base, end = int(offs[0]), int(offs[-1])
+    if end - base > _MAX_STRING_BYTES:
+        return None
+    data = col.buffers()[2]
+    data = pa.py_buffer(b"") if data is None else data.slice(base, end - base)
+    valid = pc.is_valid(col.slice(off, n)).buffers()[1] if col.null_count else None
+    return pa.Array.from_buffers(
+        pa.string(), n, [valid, pa.py_buffer((offs - base).astype(np.int32)), data])
+
+
 def _load_tombstones(index_dir: str, docmap) -> np.ndarray:
     """sorted deleted-doc array for one segment: posting-value space
     (external uint64 ids in 64-bit mode; docmap ordinals in wide
@@ -674,14 +727,15 @@ class SegmentSearcher:
         return self._project(candidates[order], scores=scores[order], with_meta=with_meta)
 
     def search_boolean_filtered(
-        self, node: ast.Node, flt: dict[str, list[str]], limit: int | None = None
+        self, node: ast.Node, flt: dict[str, list[str]], limit: int | None = None,
+        with_meta: bool = True,
     ) -> pa.Table:
         if self.docmap is None:
-            return self._project(_EMPTY_U64, scores=None)
+            return self._project(_EMPTY_U64, scores=None, with_meta=with_meta)
         allowed = self._filter_allowed(flt)
         docs = intersect_sorted(self._candidates(node), allowed)
         cap = limit if limit is not None else self.cfg.partition_limit
-        return self._project(docs[:cap], scores=None)
+        return self._project(docs[:cap], scores=None, with_meta=with_meta)
 
     def max_tf(self, term: str) -> int:
         reader = self.shards.get(self._sharder.shard_of(term))
@@ -979,11 +1033,8 @@ class SegmentSearcher:
         column, keep each group's best-ranked doc under the global
         result order (score desc, doc asc), and return this segment's
         top-k group representatives.  Shipping only per-segment group
-        bests is EXACT for the global collapsed top-k: a group's
-        global representative is the max over segments of its
-        per-segment bests, and if more than k groups beat group G
-        inside one segment, those k groups' representatives beat G's
-        globally too."""
+        bests is EXACT for the global collapsed top-k (collapse_order's
+        argument)."""
         if self.docmap is None:
             return self._project(_EMPTY_U64, scores=np.empty(0),
                                  with_meta=with_meta)
@@ -1003,15 +1054,8 @@ class SegmentSearcher:
         if len(cands) == 0:
             return self._project(cands, scores=np.empty(0),
                                  with_meta=with_meta)
-        codes = self.docmap.column_codes_for(cands, field)
-        # ONE integer lexsort: group code, then the global rank key
-        # (score desc, doc asc) — each group's first run element IS
-        # its best.  Dictionary codes keep this off Python strings.
-        order = np.lexsort((cands, -scores, codes))
-        cs = codes[order]
-        first = np.flatnonzero(np.r_[True, cs[1:] != cs[:-1]])
-        reps = order[first]
-        sel = reps[topk_order(scores[reps], cands[reps], k)]
+        codes = column_codes(self.docmap.column_arrow_for(cands, field))
+        sel = collapse_order(codes, scores, cands, k)
         return self._project(cands[sel], scores=scores[sel],
                              with_meta=with_meta)
 
@@ -1236,7 +1280,16 @@ class SegmentSearcher:
 
     # -------------------------------------------------------- projection
     def _project(self, doc_ids: np.ndarray, scores: np.ndarray | None,
-                 with_meta: bool = True) -> pa.Table:
+                 with_meta: bool | None = True):
+        """The single exit of every result-returning operator.
+        `with_meta=None` hands the raw hits — posting values (ordinals
+        in wide mode) and scores, numpy — to SearcherGroup, which
+        merges its members' hits and projects metadata ONCE for the
+        final winners (late materialization).  Otherwise an Arrow
+        table: the (doc_id_hi,) doc_id[, score] ids, plus the docmap
+        metadata columns when `with_meta` is True."""
+        if with_meta is None:
+            return doc_ids, scores
         wide = self.docmap is not None and getattr(self.docmap, "wide", False)
         if wide:
             # posting values are segment-local ordinals; results carry
@@ -1348,6 +1401,7 @@ class SegmentSearcher:
         k: int,
         idfs: dict[str, float],
         avgdl: float,
+        with_meta: bool = True,
     ) -> pa.Table:
         """Exact phrase match using the stored position lists (the
         positions are the engine-level generalization of the
@@ -1357,7 +1411,7 @@ class SegmentSearcher:
         Survivors are BM25-scored over the phrase terms (same float
         contract as search_bm25)."""
         if self.docmap is None or not terms:
-            return self._project(_EMPTY_U64, scores=np.empty(0))
+            return self._project(_EMPTY_U64, scores=np.empty(0), with_meta=with_meta)
         if not self.cfg.store_positions:
             raise ValueError(
                 "phrase queries require an index built with store_positions=True"
@@ -1370,12 +1424,12 @@ class SegmentSearcher:
             list(dict.fromkeys(terms)), idfs, avgdl
         )
         if len(candidates) == 0:
-            return self._project(candidates, scores=np.empty(0))
+            return self._project(candidates, scores=np.empty(0), with_meta=with_meta)
         docs, doc_scores = self._lazy_rank_verify(
             candidates, scores, k,
             lambda cand: self._phrase_survivor_rows(terms, cand),
         )
-        return self._project(docs, scores=doc_scores)
+        return self._project(docs, scores=doc_scores, with_meta=with_meta)
 
     def _conjunctive_scored(
         self, uniq_terms: list[str], idfs: dict[str, float], avgdl: float
@@ -1577,6 +1631,7 @@ class SegmentSearcher:
         k: int,
         idfs: dict[str, float],
         avgdl: float,
+        with_meta: bool = True,
     ) -> pa.Table:
         """Proximity (NEAR/slop) query over the stored position lists —
         the unordered/ordered generalization of search_phrase for two
@@ -1589,7 +1644,7 @@ class SegmentSearcher:
         verification runs lazily in final ranking order with the exact
         early exit search_phrase uses."""
         if self.docmap is None:
-            return self._project(_EMPTY_U64, scores=np.empty(0))
+            return self._project(_EMPTY_U64, scores=np.empty(0), with_meta=with_meta)
         if not self.cfg.store_positions:
             raise ValueError(
                 "NEAR queries require an index built with store_positions=True"
@@ -1600,12 +1655,12 @@ class SegmentSearcher:
             list(dict.fromkeys([term_a, term_b])), idfs, avgdl
         )
         if len(candidates) == 0:
-            return self._project(candidates, scores=np.empty(0))
+            return self._project(candidates, scores=np.empty(0), with_meta=with_meta)
         docs, doc_scores = self._lazy_rank_verify(
             candidates, scores, k,
             lambda cand: self._near_survivor_rows(term_a, term_b, slop, ordered, cand),
         )
-        return self._project(docs, scores=doc_scores)
+        return self._project(docs, scores=doc_scores, with_meta=with_meta)
 
     def _near_survivor_rows(
         self,
@@ -1690,6 +1745,7 @@ class SegmentSearcher:
         k: int,
         idfs: dict[str, float],
         avgdl: float,
+        with_meta: bool = True,
     ) -> pa.Table:
         """N-term unordered proximity (span-near): a candidate (=
         conjunction of all terms) survives when some window of
@@ -1704,7 +1760,7 @@ class SegmentSearcher:
         final ranking order with search_phrase's exact early exit."""
         terms = list(dict.fromkeys(terms))
         if self.docmap is None or not terms:
-            return self._project(_EMPTY_U64, scores=np.empty(0))
+            return self._project(_EMPTY_U64, scores=np.empty(0), with_meta=with_meta)
         if not self.cfg.store_positions:
             raise ValueError(
                 "NEAR queries require an index built with store_positions=True"
@@ -1713,16 +1769,17 @@ class SegmentSearcher:
             raise ValueError("slop must be >= 1")
         candidates, scores = self._conjunctive_scored(terms, idfs, avgdl)
         if len(candidates) == 0:
-            return self._project(candidates, scores=np.empty(0))
+            return self._project(candidates, scores=np.empty(0), with_meta=with_meta)
         if len(terms) == 1:
             # one distinct term: every candidate trivially matches
             order = topk_order(scores, candidates, k)
-            return self._project(candidates[order], scores=scores[order])
+            return self._project(candidates[order], scores=scores[order],
+                                 with_meta=with_meta)
         docs, doc_scores = self._lazy_rank_verify(
             candidates, scores, k,
             lambda cand: self._near_all_survivor_rows(terms, slop, cand),
         )
-        return self._project(docs, scores=doc_scores)
+        return self._project(docs, scores=doc_scores, with_meta=with_meta)
 
     def _near_all_survivor_rows(
         self, terms: list[str], slop: int, candidates: np.ndarray
@@ -1811,12 +1868,52 @@ class SearcherGroup:
     actors.  A group holds several SegmentSearchers and serves the
     same method surface; QueryEngine fans out to groups instead of
     segments, so actor count is bounded by `max_actors` regardless of
-    num_segments."""
+    num_segments.  An actorless engine holds one in-process group over
+    every segment, so both modes share this merge.
+
+    Top-k operators are late-materialized: members hand their winners
+    up as numpy hits (`_project(with_meta=None)`), the group merges
+    them with topk_order and projects docmap metadata for the k final
+    winners only, with ONE take against its members' metadata columns
+    concatenated once here — instead of every member projecting k rows
+    of which the merge throws (members-1)·k away."""
 
     def __init__(self, index_dir: str, segs: list[int], cfg: EngineConfig):
         self.cfg = cfg
         self.segs = list(segs)
         self.members = [SegmentSearcher(index_dir, s, cfg) for s in segs]
+        # wide ids: posting values are segment-local ordinals that
+        # collide across members — hits resolve to external (hi, lo)
+        # before the merge, which tie-breaks on key16 like the engine
+        self._wide = cfg.doc_id_bits == 128
+        docmaps = [m.docmap for m in self.members if m.docmap is not None]
+        sizes = [0 if m.docmap is None else len(m.docmap.doc_ids) for m in self.members]
+        self._offsets = np.cumsum([0] + sizes[:-1]).astype(np.int64)
+        # one contiguous copy: take on a multi-chunk column would
+        # concatenate every chunk per call.  Combined with 64-bit
+        # offsets, so no column overflows; a column that fits 32-bit
+        # offsets is then viewed back as pa.string() (the winners need
+        # no cast), a bigger one stays large_string
+        big = (pa.concat_tables(
+            [d.table.select(list(RESULT_META_COLUMNS)) for d in docmaps]
+        ) if docmaps else _LARGE_META.empty_table()).cast(_LARGE_META).combine_chunks()
+        big = [c.chunk(0) if c.num_chunks else pa.array([], pa.large_string())
+               for c in big.columns]
+        views = [_string_view(c, 0, len(c)) for c in big]
+        self._meta = pa.table(dict(zip(RESULT_META_COLUMNS, [
+            c if v is None else v for c, v in zip(big, views)])))
+        # members' docmaps read their metadata columns from 32-bit views
+        # of that copy, so the strings are held once, not twice (a
+        # member too big for a view keeps its own column)
+        for m, off in zip(self.members, self._offsets.tolist()):
+            if m.docmap is None or len(m.docmap.table) == 0:
+                continue
+            t = m.docmap.table
+            for name, col in zip(RESULT_META_COLUMNS, big):
+                view = _string_view(col, off, len(t))
+                if view is not None:
+                    t = t.set_column(t.schema.get_field_index(name), name, view)
+            m.docmap.table = t
 
     def node_id(self) -> str:
         """The Ray node hosting this group — the 'locale id' analogue;
@@ -1825,16 +1922,118 @@ class SearcherGroup:
 
         return ray.get_runtime_context().get_node_id()
 
+    # --------------------------------------------------------- top-k
+    def _topk(self, name: str, k: int, with_meta: bool,
+              collapse: str | None = None, **kw) -> pa.Table:
+        """members' numpy hits of operator `name` -> this group's top-k
+        (or top-k collapsed on metadata column `collapse`) as a table."""
+        lo, hi, rows, scores = [], [], [], []
+        for m, off in zip(self.members, self._offsets):
+            docs, s = getattr(m, name)(k=k, with_meta=None, **kw)
+            if len(docs) == 0:
+                continue
+            if self._wide:
+                ext_hi, ext_lo = m.docmap.external_ids(docs)
+                hi.append(ext_hi)
+                r = docs.astype(np.int64)
+            else:
+                # the postings/docmap divergence check, winners only
+                ext_lo, r = docs, m.docmap._indices_for(docs)
+            lo.append(ext_lo)
+            rows.append(r + off)
+            scores.append(s)
+
+        def cat(xs: list, dtype) -> np.ndarray:
+            return np.concatenate(xs).astype(dtype, copy=False) if xs else np.empty(0, dtype)
+
+        lo, rows, scores = cat(lo, np.uint64), cat(rows, np.int64), cat(scores, np.float64)
+        if self._wide:
+            from chearch_ray.functions.hashing import key16
+
+            hi = cat(hi, np.uint64)
+            key = key16(hi, lo)
+        else:
+            key = lo
+        if collapse is None:
+            meta = None
+            sel = topk_order(scores, key, k)
+        else:
+            # the members' group bests need their metadata to dedup:
+            # project all of them (<= members·k rows), keep the winners
+            meta = self._meta.take(pa.array(rows, type=pa.int64()))
+            sel = collapse_order(column_codes(meta[collapse]), scores, key, k)
+        cols = {"doc_id_hi": pa.array(hi[sel], type=pa.uint64())} if self._wide else {}
+        cols["doc_id"] = pa.array(lo[sel], type=pa.uint64())
+        cols["score"] = pa.array(scores[sel], type=pa.float64())
+        if with_meta:
+            # one docmap metadata take per query: the winners' rows
+            # here, or collapse's candidate rows above
+            meta = (self._meta.take(pa.array(rows[sel], type=pa.int64()))
+                    if meta is None else meta.take(pa.array(sel, type=pa.int64())))
+            if meta.schema != _STRING_META:
+                meta = meta.cast(_STRING_META)
+            cols.update(zip(meta.column_names, meta.columns))
+        return pa.table(cols)
+
     def search_bm25(self, node, k, idfs, avgdl, after=None,
                     with_meta=True) -> pa.Table:
-        return pa.concat_tables(
-            [m.search_bm25(node, k, idfs, avgdl, after=after,
-                           with_meta=with_meta) for m in self.members]
-        )
+        return self._topk("search_bm25", k, with_meta, node=node, idfs=idfs,
+                          avgdl=avgdl, after=after)
 
+    def search_bm25_filtered(self, node, k, idfs, avgdl, flt,
+                             with_meta=True) -> pa.Table:
+        return self._topk("search_bm25_filtered", k, with_meta, node=node,
+                          idfs=idfs, avgdl=avgdl, flt=flt)
+
+    def search_msm(self, terms, m, k, idfs, avgdl, with_meta=True,
+                   flt=None) -> pa.Table:
+        return self._topk("search_msm", k, with_meta, terms=terms, m=m,
+                          idfs=idfs, avgdl=avgdl, flt=flt)
+
+    def search_dismax(self, terms, tie, k, idfs, avgdl,
+                      with_meta=True, flt=None) -> pa.Table:
+        return self._topk("search_dismax", k, with_meta, terms=terms, tie=tie,
+                          idfs=idfs, avgdl=avgdl, flt=flt)
+
+    def search_span_first(self, term, limit_pos, k, idfs, avgdl,
+                          with_meta=True, flt=None) -> pa.Table:
+        return self._topk("search_span_first", k, with_meta, term=term,
+                          limit_pos=limit_pos, idfs=idfs, avgdl=avgdl, flt=flt)
+
+    def search_collapse(self, node, field, k, idfs, avgdl,
+                        with_meta=True, flt=None) -> pa.Table:
+        """group collapse: members ship their per-segment group bests,
+        deduped here on the group's metadata column (exact — see
+        collapse_order)."""
+        return self._topk("search_collapse", k, with_meta, collapse=field,
+                          node=node, field=field, idfs=idfs, avgdl=avgdl, flt=flt)
+
+    def search_phrase(self, terms, k, idfs, avgdl, with_meta=True) -> pa.Table:
+        return self._topk("search_phrase", k, with_meta, terms=terms, idfs=idfs,
+                          avgdl=avgdl)
+
+    def search_near(self, term_a, term_b, slop, ordered, k, idfs, avgdl,
+                    with_meta=True) -> pa.Table:
+        return self._topk("search_near", k, with_meta, term_a=term_a,
+                          term_b=term_b, slop=slop, ordered=ordered, idfs=idfs,
+                          avgdl=avgdl)
+
+    def search_near_all(self, terms, slop, k, idfs, avgdl,
+                        with_meta=True) -> pa.Table:
+        return self._topk("search_near_all", k, with_meta, terms=terms, slop=slop,
+                          idfs=idfs, avgdl=avgdl)
+
+    # ------------------------------------------------ concatenating
     def search_boolean(self, node, limit=None, with_meta=True) -> pa.Table:
         return pa.concat_tables(
             [m.search_boolean(node, limit, with_meta) for m in self.members]
+        )
+
+    def search_boolean_filtered(self, node, flt, limit=None,
+                                with_meta=True) -> pa.Table:
+        return pa.concat_tables(
+            [m.search_boolean_filtered(node, flt, limit, with_meta)
+             for m in self.members]
         )
 
     def search_bm25_batch(self, nodes, k, idfs, avgdl) -> pa.Table:
@@ -1842,60 +2041,13 @@ class SearcherGroup:
             [m.search_bm25_batch(nodes, k, idfs, avgdl) for m in self.members]
         )
 
-    def search_msm(self, terms, m, k, idfs, avgdl, with_meta=True,
-                   flt=None) -> pa.Table:
-        return pa.concat_tables(
-            [mem.search_msm(terms, m, k, idfs, avgdl, with_meta=with_meta,
-                            flt=flt)
-             for mem in self.members]
-        )
-
-    def search_collapse(self, node, field, k, idfs, avgdl,
-                        with_meta=True, flt=None) -> pa.Table:
-        return pa.concat_tables(
-            [mem.search_collapse(node, field, k, idfs, avgdl,
-                                 with_meta=with_meta, flt=flt)
-             for mem in self.members]
-        )
-
     def count(self, node, flt=None) -> int:
         return sum(mem.count(node, flt=flt) for mem in self.members)
-
-    def search_dismax(self, terms, tie, k, idfs, avgdl,
-                      with_meta=True, flt=None) -> pa.Table:
-        return pa.concat_tables(
-            [mem.search_dismax(terms, tie, k, idfs, avgdl,
-                               with_meta=with_meta, flt=flt)
-             for mem in self.members]
-        )
-
-    def search_span_first(self, term, limit_pos, k, idfs, avgdl,
-                          with_meta=True, flt=None) -> pa.Table:
-        return pa.concat_tables(
-            [mem.search_span_first(term, limit_pos, k, idfs, avgdl,
-                                   with_meta=with_meta, flt=flt)
-             for mem in self.members]
-        )
 
     def explain_rows(self, terms, doc_lo, doc_hi=None) -> pa.Table:
         return pa.concat_tables(
             [m.explain_rows(terms, doc_lo, doc_hi) for m in self.members]
         )
-
-    def search_bm25_filtered(self, node, k, idfs, avgdl, flt,
-                             with_meta=True) -> pa.Table:
-        return pa.concat_tables(
-            [m.search_bm25_filtered(node, k, idfs, avgdl, flt,
-                                    with_meta=with_meta) for m in self.members]
-        )
-
-    def search_boolean_filtered(self, node, flt, limit=None) -> pa.Table:
-        return pa.concat_tables(
-            [m.search_boolean_filtered(node, flt, limit) for m in self.members]
-        )
-
-    def search_phrase(self, terms, k, idfs, avgdl) -> pa.Table:
-        return pa.concat_tables([m.search_phrase(terms, k, idfs, avgdl) for m in self.members])
 
     def facet_histogram(self, node, bucket_width) -> pa.Table:
         return pa.concat_tables(
@@ -1905,16 +2057,6 @@ class SearcherGroup:
     def facet_stats(self, node, by, flt=None) -> pa.Table:
         return pa.concat_tables(
             [m.facet_stats(node, by, flt=flt) for m in self.members]
-        )
-
-    def search_near(self, term_a, term_b, slop, ordered, k, idfs, avgdl) -> pa.Table:
-        return pa.concat_tables(
-            [m.search_near(term_a, term_b, slop, ordered, k, idfs, avgdl) for m in self.members]
-        )
-
-    def search_near_all(self, terms, slop, k, idfs, avgdl) -> pa.Table:
-        return pa.concat_tables(
-            [m.search_near_all(terms, slop, k, idfs, avgdl) for m in self.members]
         )
 
     def first_position(self, term: str, doc_id: int, doc_hi: int | None = None):

@@ -620,16 +620,3 @@ class DocmapReader:
         return self.table[column].take(
             pa.array(self._indices_for(doc_ids), type=pa.int64()))
 
-    def column_codes_for(self, doc_ids: np.ndarray,
-                         column: str) -> np.ndarray:
-        """Dictionary CODES of one metadata column for `doc_ids` —
-        grouping machinery (collapse) wants integer group keys, and
-        Arrow's dictionary_encode stays in C++ where a numpy unique
-        over Python strings would dominate the whole query."""
-        import pyarrow.compute as _pc
-
-        arr = self.table[column].take(
-            pa.array(self._indices_for(doc_ids), type=pa.int64()))
-        enc = _pc.dictionary_encode(arr.combine_chunks())
-        return enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-
