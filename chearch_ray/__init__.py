@@ -4,7 +4,8 @@ From-scratch reimplementation of the capabilities of briangu/chearch
 (reference at /root/reference, Chapel) expressed Ray-Data-first:
 
 - corpus = ray.data.Dataset of Parquet rows (repo, path, commit, lang, content)
-- index build = map_batches(tokenize) -> groupby(partition).map_groups(write segment)
+- index build = map_batches(tokenize) -> partitioned run exchange -> one
+  finalize task per partition (write segment)
 - segments = immutable Parquet files (delta+varint postings, block-max skip data)
 - query = SegmentSearcher actor pool, scatter-gather + driver merge
   (doc-hash partitioning across segments, mirroring reference

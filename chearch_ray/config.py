@@ -7,7 +7,8 @@ synthdataindexer.chpl:6-10 corpus sizing) as a frozen dataclass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
@@ -28,20 +29,12 @@ class EngineConfig:
     #: files containing its terms.  (Reference analogue: the 32768-bucket
     #: term hash table, memorysegment.chpl:5.)
     num_term_shards: int = 4
-    #: shuffle implementation for the posting build:
-    #:   "partitioned" (default) — explicit two-phase shuffle: stage 1
-    #:     writes hive-partitioned parquet runs (part=N/...), stage 2
-    #:     finalizes each partition in its own task.  O(n), no global
-    #:     sort, and the run files double as the mid-shuffle
-    #:     checkpoint (north rule).  On a multi-node cluster the run
-    #:     dir must be on shared storage.
-    #:   "sort" — ray groupby (sort-based all-to-all); kept as the
-    #:     cross-check path in tests (byte-identical output).
-    shuffle_mode: str = "partitioned"
-    #: salt factor for the two-phase posting merge (hot-term skew, north
-    #: rule).  1 = single-phase groupby.  >1: phase 1 groups on
-    #: (partition, salt=hash(doc)%salt) building partial runs, phase 2
-    #: merges runs per term.
+    #: salt factor for hot-term skew (north rule).  1 = the posting
+    #: build's run exchange is partitioned by part only.  >1: runs are
+    #: sub-partitioned by salt = doc_id % build_salt, so a hot
+    #: partition's runs are written by more tasks in smaller files;
+    #: finalize reads the whole partition, so the index bytes do not
+    #: depend on the salt.
     build_salt: int = 1
     #: parquet codec for the transient _shuffle run files.  "snappy"
     #: (default) is fastest when runs live on local/tmpfs storage;
@@ -74,16 +67,15 @@ class EngineConfig:
     #: documentid.chpl:17-24).  128-bit mode kills the ~3e4 birthday
     #: collisions a 64-bit space expects at 10^12 docs (ROADMAP #6)
     #: and makes posting deltas dense (smaller blobs).  Requires
-    #: shuffle_mode="partitioned" (docmap ordinals are assigned before
-    #: postings finalize).
+    #: build_salt=1 (docmap ordinals are assigned before postings
+    #: finalize).
     doc_id_bits: int = 64
 
     # ---- posting codec ------------------------------------------------
-    #: "varint" (default: LEB128 deltas, fastest bulk encode),
-    #: "bp128" (binary packing per skip block), or "pfor" (binary
-    #: packing + out-of-line exception slots — classic PForDelta;
-    #: smallest blobs when blocks have outlier deltas).
-    codec: str = "varint"
+    #: the one postings codec (LEB128 doc-id deltas and tfs, see
+    #: functions/codec.py); a constant, not an option.  Manifests record
+    #: it, and an index whose manifest names another codec is rejected.
+    codec: ClassVar[str] = "varint"
     #: postings per skip block; each block records (last_doc_id, max_tf)
     #: for skip + block-max pruning (north star).  Reference analogue:
     #: graduated pool blocks 2/16/128/2048 (documentidpool.chpl:26-35).

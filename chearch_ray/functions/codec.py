@@ -281,7 +281,6 @@ def decode_blocks(
     enc: EncodedPostings,
     blocks: np.ndarray,
     block_size: int = 128,
-    codec: str = "varint",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode ONLY the given skip blocks -> (doc_ids, tfs) concatenated
     in block order (ascending doc ids when `blocks` is sorted).
@@ -289,9 +288,8 @@ def decode_blocks(
     This is the lazy block iteration of the reference's query model
     (memorysegment.chpl:41-55, documentidpool.chpl:84) — a selective
     probe against a hot term touches a handful of blocks instead of
-    decoding the whole list.  The varint path is one vectorized pass
-    over the gathered block bytes; bp128/pfor decode per block (already
-    block-framed formats).
+    decoding the whole list: one vectorized varint pass over the
+    gathered block bytes.
     """
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
     if len(blocks) == 0 or enc.count == 0:
@@ -313,27 +311,14 @@ def decode_blocks(
     tf_starts = enc.block_tf_off[blocks]
     tf_ends = _ends(enc.block_tf_off, len(tf_buf))
 
-    if codec == "varint":
-        doc_bytes = np.concatenate(
-            [doc_buf[int(s) : int(e)] for s, e in zip(doc_starts, doc_ends)]
-        )
-        tf_bytes = np.concatenate(
-            [tf_buf[int(s) : int(e)] for s, e in zip(tf_starts, tf_ends)]
-        )
-        deltas = varint_decode(doc_bytes, total)
-        tfs = varint_decode(tf_bytes, total)
-    elif codec in ("bp128", "pfor"):
-        dec = bp_decode_block_bytes if codec == "bp128" else pfor_decode_block_bytes
-        deltas = np.empty(total, dtype=np.uint64)
-        tfs = np.empty(total, dtype=np.uint64)
-        pos = 0
-        for i in range(len(blocks)):
-            c = int(counts[i])
-            deltas[pos : pos + c] = dec(doc_buf[int(doc_starts[i]) : int(doc_ends[i])], c)
-            tfs[pos : pos + c] = dec(tf_buf[int(tf_starts[i]) : int(tf_ends[i])], c)
-            pos += c
-    else:
-        raise ValueError(f"unknown codec {codec!r}")
+    doc_bytes = np.concatenate(
+        [doc_buf[int(s) : int(e)] for s, e in zip(doc_starts, doc_ends)]
+    )
+    tf_bytes = np.concatenate(
+        [tf_buf[int(s) : int(e)] for s, e in zip(tf_starts, tf_ends)]
+    )
+    deltas = varint_decode(doc_bytes, total)
+    tfs = varint_decode(tf_bytes, total)
 
     # segment-wise cumsum: rebase each block's running sum onto the
     # previous block's last doc id (uint64 wraparound-safe: values only
@@ -403,231 +388,17 @@ def unpack_position_blob(blob, counts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return out, offsets
 
 
-# ----------------------------------------------------------- BP128 codec
-# Binary packing (FastPFor-family "BP" variant, the PForDelta axis of
-# the north star): per skip block, all deltas after the first are
-# bit-packed at the block's max bit width.  Block layout:
-#   [width: 1 byte][first delta: varint][remaining n-1 deltas packed
-#    LSB-first at `width` bits]
-# The first delta is kept out of the packed payload because absolute
-# doc ids (64-bit hashes) would force width 64 on the first block.
-
-def _bit_width(values: np.ndarray) -> int:
-    if len(values) == 0:
-        return 0
-    m = int(values.max())
-    return max(1, m.bit_length()) if m else 1
-
-
-def _bp_pack(values: np.ndarray, width: int) -> bytes:
-    """LSB-first bit-pack uint64 values at `width` bits each."""
-    if len(values) == 0 or width == 0:
-        return b""
-    shifts = np.arange(width, dtype=np.uint64)
-    bits = ((values[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
-
-
-def _bp_unpack(buf: np.ndarray, count: int, width: int) -> np.ndarray:
-    if count == 0 or width == 0:
-        return np.empty(0, dtype=np.uint64)
-    bits = np.unpackbits(buf, bitorder="little", count=count * width)
-    weights = np.uint64(1) << np.arange(width, dtype=np.uint64)
-    return (bits.reshape(count, width).astype(np.uint64) * weights).sum(
-        axis=1, dtype=np.uint64
-    )
-
-
-def bp_encode_stream(values: np.ndarray, block_size: int = 128) -> tuple[bytes, np.ndarray]:
-    """delta/tf stream -> (blob, byte offset per block).  `values` are
-    the per-posting values with block semantics identical to the varint
-    codec (delta restart handled by the caller's delta computation)."""
-    values = np.ascontiguousarray(values, dtype=np.uint64)
-    chunks: list[bytes] = []
-    offsets = [0]
-    for s in range(0, len(values), block_size):
-        block = values[s : s + block_size]
-        first = block[:1]
-        rest = block[1:]
-        width = _bit_width(rest)
-        payload = bytes([width]) + varint_encode(first) + _bp_pack(rest, width)
-        chunks.append(payload)
-        offsets.append(offsets[-1] + len(payload))
-    return b"".join(chunks), np.array(offsets[:-1], dtype=np.int64)
-
-
-def bp_decode_block_bytes(buf: np.ndarray, count: int) -> np.ndarray:
-    """one block's bytes -> values (count = postings in block)."""
-    if count == 0:
-        return np.empty(0, dtype=np.uint64)
-    width = int(buf[0])
-    first = varint_decode(buf[1:], 1)
-    ends = np.flatnonzero(buf[1:] < 0x80)
-    varint_len = int(ends[0]) + 1
-    rest = _bp_unpack(buf[1 + varint_len :], count - 1, width)
-    return np.concatenate([first, rest])
-
-
-def bp_decode_stream(
-    blob: bytes, count: int, block_offsets: np.ndarray, block_size: int = 128
-) -> np.ndarray:
-    buf = np.frombuffer(blob, dtype=np.uint8)
-    out = np.empty(count, dtype=np.uint64)
-    n_blocks = len(block_offsets)
-    for i in range(n_blocks):
-        s = int(block_offsets[i])
-        e = int(block_offsets[i + 1]) if i + 1 < n_blocks else len(buf)
-        n = min(block_size, count - i * block_size)
-        out[i * block_size : i * block_size + n] = bp_decode_block_bytes(buf[s:e], n)
-    return out
-
-
-def encode_postings_bp(doc_ids: np.ndarray, tfs: np.ndarray, block_size: int = 128,
-                       stream_encode=None) -> EncodedPostings:
-    """BP128/PFor per-term encoder (same EncodedPostings shape; blobs
-    use the packed block layout; pass stream_encode=pfor_encode_stream
-    for PFor).  Delta semantics identical to the varint codec, so
-    decode is cumsum over the same delta stream."""
-    doc_ids = np.ascontiguousarray(doc_ids, dtype=np.uint64)
-    tfs = np.ascontiguousarray(tfs, dtype=np.uint64)
-    n = len(doc_ids)
-    if n == 0:
-        z64 = np.empty(0, dtype=np.uint64)
-        z32 = np.empty(0, dtype=np.uint32)
-        zi = np.empty(0, dtype=np.int64)
-        return EncodedPostings(0, b"", b"", z64, z32, zi, zi)
-    deltas = np.empty(n, dtype=np.uint64)
-    deltas[0] = doc_ids[0]
-    deltas[1:] = doc_ids[1:] - doc_ids[:-1]
-    n_blocks = (n + block_size - 1) // block_size
-    block_bounds = np.minimum(np.arange(1, n_blocks + 1) * block_size, n)
-    block_last = doc_ids[block_bounds - 1]
-    block_max_tf = np.maximum.reduceat(tfs, np.arange(0, n, block_size)).astype(np.uint32)
-    enc_stream = stream_encode or bp_encode_stream
-    doc_blob, doc_off = enc_stream(deltas, block_size)
-    tf_blob, tf_off = enc_stream(tfs, block_size)
-    return EncodedPostings(
-        count=n,
-        doc_blob=doc_blob,
-        tf_blob=tf_blob,
-        block_last=block_last,
-        block_max_tf=block_max_tf,
-        block_doc_off=doc_off,
-        block_tf_off=tf_off,
-    )
-
-
 def decode_postings_any(
     enc: EncodedPostings, block_size: int = 128, codec: str = "varint"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """codec-dispatching full decode."""
-    if codec == "varint":
-        return decode_postings(enc, block_size)
-    if codec == "bp128":
-        stream = bp_decode_stream
-    elif codec == "pfor":
-        stream = pfor_decode_stream
-    else:
-        raise ValueError(f"unknown codec {codec!r}")
-    if enc.count == 0:
-        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
-    deltas = stream(enc.doc_blob, enc.count, enc.block_doc_off, block_size)
-    tfs = stream(enc.tf_blob, enc.count, enc.block_tf_off, block_size)
-    return np.cumsum(deltas, dtype=np.uint64), tfs
+    """full decode for a caller that names its codec; varint is the only
+    one."""
+    if codec != "varint":
+        raise ValueError(f"unknown codec {codec!r}: varint is the only postings codec")
+    return decode_postings(enc, block_size)
 
 
-def decode_tfs(enc: EncodedPostings, block_size: int = 128, codec: str = "varint") -> np.ndarray:
+def decode_tfs(enc: EncodedPostings) -> np.ndarray:
     """tf stream only: position counts need no doc ids, and the doc-id
     delta stream is the costly one to decode."""
-    if codec == "varint":
-        return varint_decode(enc.tf_blob, enc.count)
-    return decode_postings_any(enc, block_size, codec)[1]
-
-
-# ------------------------------------------------------------ PFor codec
-# Classic PForDelta: pack each block at a width covering ~90% of its
-# values; outliers ("exceptions") are stored out-of-line so one big
-# delta doesn't widen the whole block.  Block layout:
-#   [width: 1][n_exceptions: 1][varint first delta]
-#   [remaining n-1 deltas packed at `width` (exceptions packed as 0)]
-#   [exception entries: (slot index: 1 byte) (varint true value)]*
-# Blocks are <= 128 postings, so 1-byte slot indexes suffice.
-
-def _pfor_pick_width(rest: np.ndarray) -> int:
-    """width minimizing payload+exception bytes (deterministic)."""
-    if len(rest) == 0:
-        return 0
-    # exact bit width of each value
-    bw = np.ones(len(rest), dtype=np.int64)
-    v = rest.copy()
-    shifted = v >> np.uint64(1)
-    while shifted.any():
-        bw += (shifted > 0).astype(np.int64)
-        shifted >>= np.uint64(1)
-    best_w, best_cost = 64, None
-    for w in sorted(set(bw.tolist())):
-        n_exc = int((bw > w).sum())
-        if n_exc > 255:
-            continue
-        cost = (len(rest) * w + 7) // 8 + n_exc * 3  # ~3B per exception
-        if best_cost is None or cost < best_cost:
-            best_w, best_cost = int(w), cost
-    return best_w
-
-
-def pfor_encode_stream(values: np.ndarray, block_size: int = 128) -> tuple[bytes, np.ndarray]:
-    values = np.ascontiguousarray(values, dtype=np.uint64)
-    chunks: list[bytes] = []
-    offsets = [0]
-    for s in range(0, len(values), block_size):
-        block = values[s : s + block_size]
-        first, rest = block[:1], block[1:]
-        width = _pfor_pick_width(rest)
-        if width >= 64:
-            exc_mask = np.zeros(len(rest), dtype=bool)
-        else:
-            exc_mask = rest >= (np.uint64(1) << np.uint64(width))
-        packed_vals = np.where(exc_mask, np.uint64(0), rest)
-        exc_idx = np.flatnonzero(exc_mask)
-        payload = (
-            bytes([width, len(exc_idx)])
-            + varint_encode(first)
-            + _bp_pack(packed_vals, width)
-            + exc_idx.astype(np.uint8).tobytes()
-            + varint_encode(rest[exc_mask])
-        )
-        chunks.append(payload)
-        offsets.append(offsets[-1] + len(payload))
-    return b"".join(chunks), np.array(offsets[:-1], dtype=np.int64)
-
-
-def pfor_decode_block_bytes(buf: np.ndarray, count: int) -> np.ndarray:
-    if count == 0:
-        return np.empty(0, dtype=np.uint64)
-    width, n_exc = int(buf[0]), int(buf[1])
-    body = buf[2:]
-    first = varint_decode(body, 1)
-    ends = np.flatnonzero(body < 0x80)
-    vlen = int(ends[0]) + 1
-    packed_bytes = (max(count - 1, 0) * width + 7) // 8
-    rest = _bp_unpack(body[vlen : vlen + packed_bytes], count - 1, width)
-    if n_exc:
-        tail = body[vlen + packed_bytes :]
-        exc_idx = tail[:n_exc].astype(np.int64)
-        exc_vals = varint_decode(tail[n_exc:], n_exc)
-        rest[exc_idx] = exc_vals
-    return np.concatenate([first, rest])
-
-
-def pfor_decode_stream(
-    blob: bytes, count: int, block_offsets: np.ndarray, block_size: int = 128
-) -> np.ndarray:
-    buf = np.frombuffer(blob, dtype=np.uint8)
-    out = np.empty(count, dtype=np.uint64)
-    n_blocks = len(block_offsets)
-    for i in range(n_blocks):
-        s = int(block_offsets[i])
-        e = int(block_offsets[i + 1]) if i + 1 < n_blocks else len(buf)
-        n = min(block_size, count - i * block_size)
-        out[i * block_size : i * block_size + n] = pfor_decode_block_bytes(buf[s:e], n)
-    return out
+    return varint_decode(enc.tf_blob, enc.count)

@@ -1,11 +1,11 @@
 """Index build pipeline (Ray Data end to end).
 
     read_parquet(corpus)
-      ├─ map_batches(TokenizePostings)          # stateless, Arrow, vectorized
-      │    └─ groupby(part).map_groups(PostingPartWriter)     # THE shuffle
-      │         (salt>1: groupby(part,salt) -> runs -> groupby(part) merge)
-      └─ map_batches(DocMeta)                   # cheap 2nd pass: meta + sha + doc_len
-           └─ groupby(seg).map_groups(DocmapWriter)
+      └─ map_batches(TokenizeCorpus)     # tokenize once: per-term sorted
+         │                               # posting runs + docmap rows
+         └─ write_parquet(_shuffle/, partition_cols=[part(, salt)])
+            └─ one finalize task per part: sort, encode, write the
+               postings or docmap file + lineage  # THE shuffle
 
 then (tiny, metadata-sized):
       term_stats  = read postings parts (term,count columns) -> groupby sum
@@ -16,8 +16,8 @@ Resume: partitions with verified lineage are dropped from the shuffle
 input (filter inside the tokenize stages), so a killed build re-runs
 only missing partitions (north rule "resumable from checkpoint").
 
-Scale notes (100 TB): the only all-to-all exchange is the posting
-groupby, keyed by the flattened (doc-segment, term-shard) id — pick
+Scale notes (100 TB): the only all-to-all exchange is the partitioned
+run exchange, keyed by the flattened (doc-segment, term-shard) id — pick
 num_segments ~ N_docs/2^24 (reference segment cap, documentid.chpl:24)
 and num_term_shards to bound each partition file.  Doc metadata never
 enters the wide shuffle.  The corpus is read twice with column pruning
@@ -37,13 +37,8 @@ import ray.data
 from chearch_ray.config import DEFAULT_CONFIG, EngineConfig
 from functools import partial
 
-from chearch_ray.stages.postings import (
-    build_partial_runs,
-    merge_runs_write,
-    write_docmap_part,
-    write_unified_part,
-)
-from chearch_ray.stages.tokenize import DocMeta, TokenizeCorpus, TokenizePostings
+from chearch_ray.stages.postings import write_unified_part
+from chearch_ray.stages.tokenize import TokenizeCorpus
 from chearch_ray.state import segment as seg_io
 from chearch_ray.state.segment import LineageRecord, Manifest
 
@@ -63,9 +58,9 @@ def build_index(
     dedup: "none" (default — row-for-row parity with the input, and
     the reference is append-only, search.chpl:38-39) or "exact"
     (sha256(content) dedup before indexing, min doc key wins)."""
-    if cfg.doc_id_bits == 128 and (cfg.shuffle_mode != "partitioned" or cfg.build_salt > 1):
+    if cfg.doc_id_bits == 128 and cfg.build_salt > 1:
         raise ValueError(
-            "doc_id_bits=128 requires shuffle_mode='partitioned' with build_salt=1 "
+            "doc_id_bits=128 requires build_salt=1 "
             "(docmap ordinals are assigned before postings finalize)"
         )
     if resume and seg_io.manifest_exists(index_dir):
@@ -92,41 +87,15 @@ def build_index(
     done_docmap = frozenset(seg_io.completed_parts(index_dir, "docmap")) if resume else frozenset()
     n_parts = cfg.num_segments * cfg.num_term_shards
 
-    if cfg.build_salt > 1 and cfg.shuffle_mode != "partitioned":
-        # ---- salted two-phase path (hot-term skew) -------------------
-        tok = corpus.map_batches(
-            TokenizePostings(cfg, done_postings),
-            batch_format="pyarrow",
-            batch_size=cfg.tokenize_batch_size,
-        )
-        runs = tok.groupby(["part", "salt"]).map_groups(
-            partial(build_partial_runs, cfg=cfg), batch_format="pyarrow"
-        )
-        runs.groupby("part").map_groups(
-            partial(merge_runs_write, cfg=cfg, index_dir=index_dir), batch_format="pyarrow"
-        ).take_all()
-        meta = corpus.map_batches(
-            DocMeta(cfg, done_docmap), batch_format="pyarrow", batch_size=cfg.tokenize_batch_size
-        )
-        meta.groupby("seg").map_groups(
-            partial(write_docmap_part, cfg=cfg, index_dir=index_dir), batch_format="pyarrow"
-        ).take_all()
-    else:
-        # ---- single-pass path: tokenize once, ONE shuffle routing
-        # both posting partitions and docmap partitions -----------------
-        done_unified = frozenset(done_postings | {n_parts + seg for seg in done_docmap})
-        unified = corpus.map_batches(
-            TokenizeCorpus(cfg, done_unified),
-            batch_format="pyarrow",
-            batch_size=cfg.tokenize_batch_size,
-        )
-        if cfg.shuffle_mode == "partitioned":
-            _partitioned_shuffle(unified, index_dir, cfg, done_unified)
-        else:
-            unified.groupby("part").map_groups(
-                partial(write_unified_part, cfg=cfg, index_dir=index_dir),
-                batch_format="pyarrow",
-            ).take_all()
+    # tokenize once; ONE shuffle routes both posting partitions and
+    # docmap partitions
+    done = frozenset(done_postings | {n_parts + seg for seg in done_docmap})
+    unified = corpus.map_batches(
+        TokenizeCorpus(cfg, done),
+        batch_format="pyarrow",
+        batch_size=cfg.tokenize_batch_size,
+    )
+    _partitioned_shuffle(unified, index_dir, cfg, done)
 
     return commit_manifest(index_dir, cfg)
 
@@ -158,8 +127,7 @@ def _keep_min_doc_key(group: pa.Table) -> pa.Table:
 
 
 def _partitioned_shuffle(unified, index_dir: str, cfg: EngineConfig, done: frozenset) -> None:
-    """Explicit two-phase shuffle (the scale path — see config
-    .shuffle_mode): stage 1 streams the unified rows into
+    """Explicit two-phase shuffle: stage 1 streams the unified rows into
     hive-partitioned parquet runs under <index>/_shuffle/part=N/
     (Ray Data's sort-based groupby is a full O(n log n) comparison
     sort of every posting row; partitioning by the 2-digit part key
@@ -204,6 +172,8 @@ def _partitioned_shuffle(unified, index_dir: str, cfg: EngineConfig, done: froze
         os.makedirs(run_dir, exist_ok=True)
         with open(marker, "w") as f:
             f.write("ok")
+    else:
+        _check_resumed_runs(run_dir)
 
     part_dirs = sorted(glob.glob(os.path.join(run_dir, "part=*")))
     items = []
@@ -241,6 +211,19 @@ def _partitioned_shuffle(unified, index_dir: str, cfg: EngineConfig, done: froze
         _run_wave(items)
     if not os.environ.get("CHEARCH_RAY_KEEP_RUNS"):  # debugging / byte audits
         shutil.rmtree(run_dir, ignore_errors=True)
+
+
+def _check_resumed_runs(run_dir: str) -> None:
+    """A run dir kept from an earlier build must carry the per-posting
+    position lengths (`pos_lens`) that finalize splits runs by."""
+    import glob
+
+    files = glob.glob(os.path.join(run_dir, "part=*", "**", "*.parquet"), recursive=True)
+    if files and "pos_lens" not in pq.read_schema(files[0]).names:
+        raise ValueError(
+            f"run files under {run_dir} have no pos_lens column (written by an "
+            "older build); delete that directory and rebuild"
+        )
 
 
 def _finalize_from_runs(batch, cfg: EngineConfig, index_dir: str):
@@ -362,6 +345,7 @@ def commit_manifest(index_dir: str, cfg: EngineConfig) -> Manifest:
 
     cfg_dict = asdict(cfg)
     cfg_dict["input_columns"] = list(cfg.input_columns)
+    cfg_dict["codec"] = cfg.codec  # a ClassVar, so asdict leaves it out
     # segment-capacity enforcement (reference MaxDocumentIndexCount =
     # 2^24, documentid.chpl:24): doc_id % num_segments can overfill a
     # segment when the caller under-sizes num_segments — surface it

@@ -36,7 +36,6 @@ from chearch_ray.state.segment import Manifest
 _STRUCTURAL = (
     "num_segments",
     "num_term_shards",
-    "codec",
     "block_size",
     "token_split_regex",
     "lowercase",
@@ -56,7 +55,7 @@ def _explode_postings_part(path: str, cfg: EngineConfig,
     ordinals — translate them to external (hi, lo) pairs through that
     index's docmap (`source_docmap`) so inputs merge in a shared id
     space."""
-    from chearch_ray.functions.codec import decode_postings_any
+    from chearch_ray.functions.codec import decode_postings
     from chearch_ray.state.segment import PostingsPartReader
 
     reader = PostingsPartReader(path, cfg)
@@ -65,7 +64,7 @@ def _explode_postings_part(path: str, cfg: EngineConfig,
     counts = np.empty(len(terms), dtype=np.int64)
     for i, term in enumerate(terms):
         enc = reader.encoded(term)
-        docs, tfs = decode_postings_any(enc, cfg.block_size, cfg.codec)
+        docs, tfs = decode_postings(enc, cfg.block_size)
         counts[i] = len(docs)
         out_doc.append(docs)
         out_tf.append(tfs)

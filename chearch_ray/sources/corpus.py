@@ -7,8 +7,8 @@ document frequency) becomes a pure deterministic (seed, row-index) ->
 row function materialized as Parquet, read back via read_parquet.
 
 Differences by design (FIXTURES.md §3): Zipf term skew instead of
-uniform (code corpora are Zipfian — exercises the salted two-phase
-posting merge), mixed-style identifiers to exercise sub-token
+uniform (code corpora are Zipfian — exercises the salted run
+exchange), mixed-style identifiers to exercise sub-token
 splitting, and per-step sentinel tokens `__known_{step}__` appearing
 in exactly `step` documents (the analogue of the reference's
 locale-known ranges, synthdataindexer.chpl:32-49).  Token

@@ -1,13 +1,15 @@
 """Posting-list construction stages (the central shuffle).
 
 Reference mapping (SURVEY.md §2.5 A3): the mutate-in-place posting
-chains of memorysegment.chpl:178-252 invert into a groupby-build —
-posting rows shuffle once on the flattened (doc-segment, term-shard)
-partition key, and each group materializes as one immutable Parquet
-file.  Zipf-hot terms (north rule) use the salted two-phase path:
-phase 1 groups on (part, salt=doc_id%S) building sorted partial runs,
-phase 2 merges runs per term before encoding — bounding any single
-task's input to 1/S of a hot partition.
+chains of memorysegment.chpl:178-252 invert into a shuffle-build —
+tokenize emits per-term sorted runs keyed by the flattened
+(doc-segment, term-shard) partition, the partitioned exchange
+(pipelines/build.py) gathers each partition's runs, and each partition
+materializes as one immutable Parquet file.  Zipf-hot terms (north
+rule): with build_salt > 1 the salt (doc_id % S) sub-partitions the
+exchange's run files, so a hot partition's runs are written by many
+tasks; finalize reads the whole partition and its output does not
+depend on the salt.
 
 All writers emit per-partition lineage records (state/segment.py) so a
 killed build resumes by skipping verified partitions.
@@ -24,88 +26,23 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from chearch_ray.config import EngineConfig
-from chearch_ray.functions.codec import encode_postings_bp, encode_postings_bulk
+from chearch_ray.functions.codec import encode_postings_bulk
 from chearch_ray.state import segment as seg_io
 
 
-def _bp_bulk(doc: np.ndarray, tf: np.ndarray, bounds: np.ndarray, block_size: int,
-             codec: str = "bp128") -> dict:
-    """Per-term BP128/PFor encode shaped like encode_postings_bulk's
-    output (python loop over terms — these options trade build speed
-    for smaller blobs)."""
-    from chearch_ray.functions.codec import pfor_encode_stream
-
-    stream = pfor_encode_stream if codec == "pfor" else None
-    n_terms = len(bounds) - 1
-    doc_chunks, tf_chunks = [], []
-    doc_offsets = np.zeros(n_terms + 1, dtype=np.int64)
-    tf_offsets = np.zeros(n_terms + 1, dtype=np.int64)
-    counts = np.diff(bounds).astype(np.uint64)
-    blk_counts = np.zeros(n_terms, dtype=np.int64)
-    bl, bm, bdo, bto = [], [], [], []
-    for i in range(n_terms):
-        s, e = int(bounds[i]), int(bounds[i + 1])
-        enc = encode_postings_bp(doc[s:e], tf[s:e], block_size, stream_encode=stream)
-        doc_chunks.append(enc.doc_blob)
-        tf_chunks.append(enc.tf_blob)
-        doc_offsets[i + 1] = doc_offsets[i] + len(enc.doc_blob)
-        tf_offsets[i + 1] = tf_offsets[i] + len(enc.tf_blob)
-        blk_counts[i] = len(enc.block_last)
-        bl.append(enc.block_last)
-        bm.append(enc.block_max_tf)
-        bdo.append(enc.block_doc_off)
-        bto.append(enc.block_tf_off)
-    cat = (lambda xs, dt: np.concatenate(xs) if xs else np.empty(0, dtype=dt))
-    return {
-        "counts": counts,
-        "doc_blob_buf": b"".join(doc_chunks),
-        "tf_blob_buf": b"".join(tf_chunks),
-        "doc_blob_offsets": doc_offsets,
-        "tf_blob_offsets": tf_offsets,
-        "block_list_offsets": np.concatenate([[0], np.cumsum(blk_counts)]).astype(np.int32),
-        "block_last": cat(bl, np.uint64),
-        "block_max_tf": cat(bm, np.uint32),
-        "block_doc_off": cat(bdo, np.int64),
-        "block_tf_off": cat(bto, np.int64),
-    }
-
-
-# map_groups requires plain functions (it reads fn.__name__); these
-# wrappers let build.py pass the writer classes via functools.partial.
-def write_posting_part(group: pa.Table, cfg: EngineConfig, index_dir: str) -> pa.Table:
-    return PostingPartWriter(cfg, index_dir)(group)
-
-
-def build_partial_runs(group: pa.Table, cfg: EngineConfig) -> pa.Table:
-    return PartialRunBuilder(cfg)(group)
-
-
-def merge_runs_write(group: pa.Table, cfg: EngineConfig, index_dir: str) -> pa.Table:
-    return RunMergeWriter(cfg, index_dir)(group)
-
-
-def write_docmap_part(group: pa.Table, cfg: EngineConfig, index_dir: str) -> pa.Table:
-    return DocmapWriter(cfg, index_dir)(group)
-
-
 def write_unified_part(group: pa.Table, cfg: EngineConfig, index_dir: str) -> pa.Table:
-    """Single-pass build dispatcher: a group is EITHER a postings
-    partition (part < num_segments*num_term_shards; rows = per-term
-    sorted partial runs from the map-side combine) or a docmap
-    partition (part = n_posting_parts + seg) of the unified schema
-    (stages/tokenize.UNIFIED_SCHEMA)."""
+    """Finalize one partition of the unified run schema
+    (stages/tokenize.UNIFIED_SCHEMA): EITHER a postings partition
+    (part < num_segments*num_term_shards; rows = per-term sorted
+    partial runs from the map-side combine) or a docmap partition
+    (part = n_posting_parts + seg)."""
     if len(group) == 0:
         return _empty_summary()
     part = int(group["part"][0].as_py())
     n_posting_parts = cfg.num_segments * cfg.num_term_shards
     wide = cfg.doc_id_bits == 128
     if part < n_posting_parts:
-        cols = ["part", "term", "doc_ids", "tfs", "positions"]
-        if "pos_lens" in group.column_names:  # absent in pre-lens run dirs (resume)
-            cols.append("pos_lens")
-        if wide:
-            cols.append("doc_his")
-        return RunMergeWriter(cfg, index_dir)(group.select(cols))
+        return _finalize_runs(cfg, index_dir, part, group)
     seg_id = part - n_posting_parts
     meta_cols = {
         "seg": pa.array([seg_id] * len(group), type=pa.int32()),
@@ -187,84 +124,12 @@ def _combine(col) -> pa.Array:
     return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
 
 
-class PostingPartWriter:
-    """map_groups callable over groupby('part'): sort the partition's
-    (term, doc_id, tf, positions) rows, encode each term's posting
-    list, write the partition file atomically, commit lineage."""
-
-    def __init__(self, cfg: EngineConfig, index_dir: str):
-        self.cfg = cfg
-        self.index_dir = index_dir
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        if len(group) == 0:
-            return _empty_summary()
-        _maybe_fail_injection(self.index_dir)
-        _maybe_sleep_injection(self.index_dir)
-        order = pc.sort_indices(
-            group, sort_keys=[("term", "ascending"), ("doc_id", "ascending")]
-        )
-        g = group.take(order)
-        part = int(g["part"][0].as_py())
-        return _finalize_part(self.cfg, self.index_dir, part, g)
-
-
-def _split_run_positions(run_cells: pa.Array, tfs_flat: np.ndarray,
-                         max_positions_per_doc: int) -> pa.Array:
-    """run-level packed positions (one cell per run) -> per-posting
-    cells: one vectorized varint-end scan over the concatenated run
-    bytes, boundaries at each posting's cumulative occurrence count
-    (= tf capped at max_positions_per_doc).  Zero-copy output over the
-    shared data buffer."""
-    n_runs = len(run_cells)
-    n_postings = len(tfs_flat)
-    if n_postings == 0 or run_cells.buffers()[2] is None:
-        return pa.array([b""] * n_postings, type=pa.binary())
-    roff = np.frombuffer(run_cells.buffers()[1], dtype=np.int32)[
-        run_cells.offset : run_cells.offset + n_runs + 1
-    ].astype(np.int64)
-    data = np.frombuffer(run_cells.buffers()[2], dtype=np.uint8)
-    blob = data[roff[0] : roff[-1]]
-    counts = (
-        np.minimum(tfs_flat, max_positions_per_doc)
-        if max_positions_per_doc > 0
-        else tfs_flat
-    )
-    cum = np.cumsum(counts)
-    if len(cum) == 0 or cum[-1] == 0:
-        byte_off = np.zeros(n_postings + 1, dtype=np.int64)
-    else:
-        # Arrow's less + indices_nonzero: one fused C++ pass, measured
-        # 2x numpy's mask-then-flatnonzero single-threaded (0.38 s vs
-        # 0.81 s per 25 MB blob; the scan was 60% of the biggest
-        # partition's finalize CPU).  Under 32-way build contention
-        # the end-to-end gain washes out on this bandwidth-limited
-        # box (A/B within noise) — the win shows when finalize tasks
-        # aren't all competing for one memory bus, i.e. on real nodes
-        import pyarrow.compute as _pc
-
-        ends = _pc.indices_nonzero(
-            _pc.less(pa.array(blob, type=pa.uint8()), 0x80)
-        ).to_numpy().astype(np.int64)
-        byte_off = np.concatenate(
-            [[0], np.where(cum > 0, ends[np.maximum(cum - 1, 0)] + 1, 0)]
-        )
-        byte_off = np.maximum.accumulate(byte_off)
-    return pa.Array.from_buffers(
-        pa.binary(),
-        n_postings,
-        [None, pa.py_buffer(byte_off.astype(np.int32).tobytes()),
-         pa.py_buffer(blob.tobytes())],
-    )
-
-
 def _split_runs_by_lens(run_cells: pa.Array, lens_cells: pa.Array,
                         n_postings: int) -> pa.Array:
     """run-level packed positions + per-posting uint32 byte lengths ->
     per-posting cells: ONE cumsum over the lengths (runs concatenate
     in row order, so the flattened lens align with the flattened
-    postings) — replaces the varint-end scan over every positions
-    byte."""
+    postings), no scan over the positions bytes."""
     if n_postings == 0 or run_cells.buffers()[2] is None:
         return pa.array([b""] * n_postings, type=pa.binary())
     n_runs = len(run_cells)
@@ -343,10 +208,7 @@ def _finalize_part(cfg: EngineConfig, index_dir: str, part: int, g: pa.Table) ->
     bounds = np.append(starts, len(g))
     uniq_terms = codes_arr.dictionary  # encounter order == sorted order here
 
-    if cfg.codec in ("bp128", "pfor"):
-        bulk = _bp_bulk(doc, tf, bounds, cfg.block_size, cfg.codec)
-    else:
-        bulk = encode_postings_bulk(doc, tf, bounds, block_size=cfg.block_size)
+    bulk = encode_postings_bulk(doc, tf, bounds, block_size=cfg.block_size)
     n_postings = len(doc)
     fingerprint = hashlib.sha256()
     fingerprint.update(bulk["doc_blob_buf"])
@@ -414,98 +276,32 @@ def _finalize_part(cfg: EngineConfig, index_dir: str, part: int, g: pa.Table) ->
     return _summary_row("postings", part, rel, len(table), int(n_postings), sha)
 
 
-class PartialRunBuilder:
-    """Phase 1 of the salted build: group (part, salt) -> one sorted
-    partial run per term: (part, term, doc_ids, tfs, positions)."""
-
-    def __init__(self, cfg: EngineConfig):
-        self.cfg = cfg
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        if len(group) == 0:
-            return pa.schema(
-                [
-                    ("part", pa.int32()),
-                    ("term", pa.string()),
-                    ("doc_ids", pa.list_(pa.uint64())),
-                    ("tfs", pa.list_(pa.uint32())),
-                    ("positions", pa.binary()),
-                    ("pos_lens", pa.binary()),
-                ]
-            ).empty_table()
-        order = pc.sort_indices(
-            group, sort_keys=[("term", "ascending"), ("doc_id", "ascending")]
-        )
-        g = group.take(order)
-        part = int(g["part"][0].as_py())
-        terms = _combine(g["term"])
-        codes_arr = terms.dictionary_encode()
-        codes = np.asarray(codes_arr.indices)
-        starts = np.flatnonzero(np.diff(codes, prepend=-1))
-        bounds = pa.array(np.append(starts, len(g)).astype(np.int32), type=pa.int32())
-        doc_lists = pa.ListArray.from_arrays(bounds, _combine(g["doc_id"]))
-        tf_lists = pa.ListArray.from_arrays(bounds, _combine(g["tf"]))
-        from chearch_ray.stages.tokenize import _runs_binary, _runs_lens32
-
-        return pa.table(
-            {
-                "part": pa.array([part] * len(starts), type=pa.int32()),
-                "term": codes_arr.dictionary,
-                "doc_ids": doc_lists.cast(pa.list_(pa.uint64())),
-                "tfs": tf_lists.cast(pa.list_(pa.uint32())),
-                "positions": _runs_binary(_combine(g["positions"]), starts),
-                "pos_lens": _runs_lens32(_combine(g["positions"]), starts),
-            }
-        )
-
-
-class RunMergeWriter:
-    """Phase 2 of the salted build: group part -> flatten the runs back
-    to posting rows, merge-sort per term, encode + write (same final
-    path as PostingPartWriter).  Salts partition doc space, so runs for
-    one term are disjoint sorted sequences; concat+sort merges them."""
-
-    def __init__(self, cfg: EngineConfig, index_dir: str):
-        self.cfg = cfg
-        self.index_dir = index_dir
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        if len(group) == 0:
-            return _empty_summary()
-        _maybe_fail_injection(self.index_dir)
-        _maybe_sleep_injection(self.index_dir)
-        part = int(group["part"][0].as_py())
-        doc_lists = _combine(group["doc_ids"])
-        lengths = np.asarray(pc.list_value_length(doc_lists)).astype(np.int64)
-        term_rep = pc.list_parent_indices(doc_lists)
-        terms_flat = _combine(group["term"]).take(term_rep)
-        tfs_flat = _combine(group["tfs"]).flatten()
-        n_postings = int(lengths.sum())
-        if "pos_lens" in group.column_names:
-            per_posting_pos = _split_runs_by_lens(
-                _combine(group["positions"]), _combine(group["pos_lens"]), n_postings
-            )
-        else:
-            # pre-lens run dirs (resume across versions): varint scan
-            per_posting_pos = _split_run_positions(
-                _combine(group["positions"]),
-                np.asarray(tfs_flat, dtype=np.int64),
-                self.cfg.max_positions_per_doc,
-            )
-        flat_cols = {
-            "part": pa.array(np.full(n_postings, part, dtype=np.int32)),
-            "term": terms_flat,
-            "doc_id": doc_lists.flatten(),
-            "tf": tfs_flat,
-            "positions": per_posting_pos,
-        }
-        sort_keys = [("term", "ascending"), ("doc_id", "ascending")]
-        if "doc_his" in group.column_names:
-            flat_cols["doc_hi"] = _combine(group["doc_his"]).flatten()
-            sort_keys = [("term", "ascending"), ("doc_hi", "ascending"), ("doc_id", "ascending")]
-        flat = pa.table(flat_cols)
-        order = pc.sort_indices(flat, sort_keys=sort_keys)
-        return _finalize_part(self.cfg, self.index_dir, part, flat.take(order))
+def _finalize_runs(cfg: EngineConfig, index_dir: str, part: int, group: pa.Table) -> pa.Table:
+    """flatten one postings partition's runs back to posting rows,
+    sort per term, encode + write.  A term's runs come from different
+    input batches (or salts), so they are disjoint sorted sequences;
+    concat+sort merges them."""
+    _maybe_fail_injection(index_dir)
+    _maybe_sleep_injection(index_dir)
+    doc_lists = _combine(group["doc_ids"])
+    lengths = np.asarray(pc.list_value_length(doc_lists)).astype(np.int64)
+    term_rep = pc.list_parent_indices(doc_lists)
+    n_postings = int(lengths.sum())
+    flat_cols = {
+        "term": _combine(group["term"]).take(term_rep),
+        "doc_id": doc_lists.flatten(),
+        "tf": _combine(group["tfs"]).flatten(),
+        "positions": _split_runs_by_lens(
+            _combine(group["positions"]), _combine(group["pos_lens"]), n_postings
+        ),
+    }
+    sort_keys = [("term", "ascending"), ("doc_id", "ascending")]
+    if cfg.doc_id_bits == 128:
+        flat_cols["doc_hi"] = _combine(group["doc_his"]).flatten()
+        sort_keys = [("term", "ascending"), ("doc_hi", "ascending"), ("doc_id", "ascending")]
+    flat = pa.table(flat_cols)
+    order = pc.sort_indices(flat, sort_keys=sort_keys)
+    return _finalize_part(cfg, index_dir, part, flat.take(order))
 
 
 class DocmapWriter:

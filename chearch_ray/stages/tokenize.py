@@ -1,13 +1,13 @@
-"""Index-build stages: document prep/metadata and posting explosion.
+"""Index-build stage: document prep/metadata and posting explosion.
 
 Reference mapping (SURVEY.md §2.2 M1): the per-document posting
 explosion of MemorySegment.addDocument (memorysegment.chpl:267-292)
 becomes a stateless vectorized map_batches over Arrow batches — no
 shared mutable state; posting lists are assembled later by the
-partition groupby (§2.5 A3).
+partitioned exchange (§2.5 A3).
 
-Both stages are callable CLASSES so the term-shard cache and config
-live once per actor/worker (`concurrency=` pool), not once per batch.
+The stage is a callable CLASS so the term-shard cache and config live
+once per actor/worker (`concurrency=` pool), not once per batch.
 """
 
 from __future__ import annotations
@@ -50,99 +50,6 @@ def _doc_ids_wide_of(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-class TokenizePostings:
-    """content -> exploded posting rows
-    (part:int32, salt:int32, term:string, doc_id:uint64, tf:uint32,
-    positions:binary — per-posting varint-delta pack,
-    functions.codec.pack_position_lists).
-
-    Aggregates (doc, term) pairs *within the batch* via Arrow hash
-    aggregation, so the shuffle moves one row per (doc, term), not one
-    per token occurrence.  `done_parts` (resume) drops rows destined
-    for partitions whose lineage already verifies — resume-mid-shuffle.
-    """
-
-    def __init__(self, cfg: EngineConfig, done_parts: frozenset[int] = frozenset()):
-        self.cfg = cfg
-        self.sharder = TermSharder(cfg.num_term_shards)
-        self.done_parts = done_parts
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        lists = tokenize(
-            batch["content"],
-            lowercase=cfg.lowercase,
-            split_subtokens=cfg.split_subtokens,
-            split_regex=cfg.token_split_regex,
-        )
-        if cfg.doc_id_bits == 128:
-            doc_his, doc_ids = _doc_ids_wide_of(batch)
-            return self.postings_from_tokens(batch, doc_ids, lists, doc_his=doc_his)
-        return self.postings_from_tokens(batch, _doc_ids_of(batch), lists)
-
-    def postings_from_tokens(
-        self, batch: pa.Table, doc_ids: np.ndarray, lists: pa.ListArray,
-        doc_his: np.ndarray | None = None,
-    ) -> pa.Table:
-        cfg = self.cfg
-        values, row_idx, positions = explode(lists)
-        cols = {
-            "term": values,
-            "doc_id": pa.array(doc_ids[row_idx], type=pa.uint64()),
-            "pos": pa.array(positions.astype(np.uint32), type=pa.uint32()),
-        }
-        keys = ["doc_id", "term"]
-        if doc_his is not None:
-            cols["doc_hi"] = pa.array(doc_his[row_idx], type=pa.uint64())
-            keys = ["doc_hi", "doc_id", "term"]
-        exploded = pa.table(cols)
-        grouped = exploded.group_by(keys, use_threads=False).aggregate(
-            [("pos", "list"), ("pos", "count")]
-        )
-        g_doc = grouped["doc_id"].to_numpy().astype(np.uint64)
-        g_term = grouped["term"]
-        if isinstance(g_term, pa.ChunkedArray):
-            g_term = g_term.combine_chunks()
-        tf = grouped["pos_count"].to_numpy().astype(np.uint32)
-        pos_lists = grouped["pos_list"]
-        if isinstance(pos_lists, pa.ChunkedArray):
-            pos_lists = pos_lists.combine_chunks()
-        if cfg.max_positions_per_doc > 0:
-            pos_lists = pc.list_slice(pos_lists, 0, cfg.max_positions_per_doc)
-            if isinstance(pos_lists, pa.ChunkedArray):
-                pos_lists = pos_lists.combine_chunks()
-        # pack positions ONCE at the source: the delta+varint cells ride
-        # the shuffle (~1 byte/occurrence vs 4) and are concatenated
-        # byte-wise into the final per-term blob without re-encoding
-        from chearch_ray.functions.codec import pack_position_lists
-
-        packed = pack_position_lists(pos_lists.cast(pa.list_(pa.uint32())))
-
-        seg = (g_doc % np.uint64(cfg.num_segments)).astype(np.int64)
-        shard = self.sharder.shards(g_term).astype(np.int64)
-        part = (seg * cfg.num_term_shards + shard).astype(np.int32)
-        salt = (
-            (g_doc % np.uint64(cfg.build_salt)).astype(np.int32)
-            if cfg.build_salt > 1
-            else np.zeros(len(g_doc), dtype=np.int32)
-        )
-        out_cols = {
-            "part": pa.array(part, type=pa.int32()),
-            "salt": pa.array(salt, type=pa.int32()),
-            "term": g_term,
-            "doc_id": pa.array(g_doc, type=pa.uint64()),
-            "tf": pa.array(tf, type=pa.uint32()),
-            "positions": packed,
-        }
-        if doc_his is not None:
-            out_cols["doc_hi"] = grouped["doc_hi"].cast(pa.uint64())
-        out = pa.table(out_cols)
-        if self.done_parts:
-            mask = np.isin(part, np.fromiter(self.done_parts, dtype=np.int32), invert=True)
-            out = out.filter(pa.array(mask))
-        return out
-
-
 #: unified RUN schema for the single-pass build: posting rows carry one
 #: sorted partial run per (term, input batch) — list columns, the
 #: map-side combiner of the two-phase posting merge (north rule) —
@@ -160,13 +67,12 @@ UNIFIED_SCHEMA = pa.schema(
         # ONE packed cell per RUN (per-posting varint-delta cells
         # concatenated): a per-posting binary column would pay parquet's
         # 4-byte length prefix per posting — measured 136 MB of pure
-        # framing on the 100k bench corpus.  Per-posting boundaries are
-        # recovered from the tfs column (occurrence counts) by a
-        # vectorized varint-end scan at finalize.
+        # framing on the 100k bench corpus.  Per-posting boundaries come
+        # from pos_lens.
         ("positions", pa.binary()),
         # per-posting byte lengths of the positions cells (uint32 LE,
         # one cell per run): finalize rebuilds boundaries with one
-        # cumsum instead of the varint-end scan (_runs_lens32)
+        # cumsum instead of a varint-end scan (_runs_lens32)
         ("pos_lens", pa.binary()),
         ("doc_id", pa.uint64()),
         ("repo", pa.string()),
@@ -197,12 +103,12 @@ class TokenizeCorpus:
     partition, and postings leave the batch already combined into
     per-term sorted runs (map-side combine).
 
-    Used by the default (unsalted) build path; the salted two-phase
-    path keeps the separate TokenizePostings/DocMeta passes."""
+    `done_parts` (resume) drops rows destined for partitions whose
+    lineage already verifies — resume-mid-shuffle."""
 
     def __init__(self, cfg: EngineConfig, done_parts: frozenset[int] = frozenset()):
         self.cfg = cfg
-        self.posting = TokenizePostings(cfg, done_parts)
+        self.sharder = TermSharder(cfg.num_term_shards)
         self.done_parts = done_parts
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -217,10 +123,10 @@ class TokenizeCorpus:
         )
         if wide:
             doc_his, doc_ids = _doc_ids_wide_of(batch)
-            post = self.posting.postings_from_tokens(batch, doc_ids, lists, doc_his=doc_his)
+            post = self._posting_rows(doc_ids, lists, doc_his=doc_his)
         else:
             doc_his, doc_ids = None, _doc_ids_of(batch)
-            post = self.posting.postings_from_tokens(batch, doc_ids, lists)
+            post = self._posting_rows(doc_ids, lists)
 
         # ---- map-side combine: (part, salt, term, doc_id) rows ->
         # runs (salt sub-partitions the hive exchange when
@@ -321,6 +227,73 @@ class TokenizeCorpus:
             meta_tbl = meta_tbl.filter(pa.array(mask))
         return pa.concat_tables([post_tbl, meta_tbl]).combine_chunks()
 
+    def _posting_rows(
+        self, doc_ids: np.ndarray, lists: pa.ListArray, doc_his: np.ndarray | None = None,
+    ) -> pa.Table:
+        """token lists -> one row per (doc, term): (part, salt, term,
+        doc_id, tf, positions) with positions as a per-posting varint-
+        delta pack (functions.codec.pack_position_lists), plus doc_hi in
+        wide mode.  (doc, term) pairs aggregate within the batch via
+        Arrow hash aggregation, so the shuffle moves one row per
+        (doc, term), not one per token occurrence."""
+        cfg = self.cfg
+        values, row_idx, positions = explode(lists)
+        cols = {
+            "term": values,
+            "doc_id": pa.array(doc_ids[row_idx], type=pa.uint64()),
+            "pos": pa.array(positions.astype(np.uint32), type=pa.uint32()),
+        }
+        keys = ["doc_id", "term"]
+        if doc_his is not None:
+            cols["doc_hi"] = pa.array(doc_his[row_idx], type=pa.uint64())
+            keys = ["doc_hi", "doc_id", "term"]
+        exploded = pa.table(cols)
+        grouped = exploded.group_by(keys, use_threads=False).aggregate(
+            [("pos", "list"), ("pos", "count")]
+        )
+        g_doc = grouped["doc_id"].to_numpy().astype(np.uint64)
+        g_term = grouped["term"]
+        if isinstance(g_term, pa.ChunkedArray):
+            g_term = g_term.combine_chunks()
+        tf = grouped["pos_count"].to_numpy().astype(np.uint32)
+        pos_lists = grouped["pos_list"]
+        if isinstance(pos_lists, pa.ChunkedArray):
+            pos_lists = pos_lists.combine_chunks()
+        if cfg.max_positions_per_doc > 0:
+            pos_lists = pc.list_slice(pos_lists, 0, cfg.max_positions_per_doc)
+            if isinstance(pos_lists, pa.ChunkedArray):
+                pos_lists = pos_lists.combine_chunks()
+        # pack positions ONCE at the source: the delta+varint cells ride
+        # the shuffle (~1 byte/occurrence vs 4) and are concatenated
+        # byte-wise into the final per-term blob without re-encoding
+        from chearch_ray.functions.codec import pack_position_lists
+
+        packed = pack_position_lists(pos_lists.cast(pa.list_(pa.uint32())))
+
+        seg = (g_doc % np.uint64(cfg.num_segments)).astype(np.int64)
+        shard = self.sharder.shards(g_term).astype(np.int64)
+        part = (seg * cfg.num_term_shards + shard).astype(np.int32)
+        salt = (
+            (g_doc % np.uint64(cfg.build_salt)).astype(np.int32)
+            if cfg.build_salt > 1
+            else np.zeros(len(g_doc), dtype=np.int32)
+        )
+        out_cols = {
+            "part": pa.array(part, type=pa.int32()),
+            "salt": pa.array(salt, type=pa.int32()),
+            "term": g_term,
+            "doc_id": pa.array(g_doc, type=pa.uint64()),
+            "tf": pa.array(tf, type=pa.uint32()),
+            "positions": packed,
+        }
+        if doc_his is not None:
+            out_cols["doc_hi"] = grouped["doc_hi"].cast(pa.uint64())
+        out = pa.table(out_cols)
+        if self.done_parts:
+            mask = np.isin(part, np.fromiter(self.done_parts, dtype=np.int32), invert=True)
+            out = out.filter(pa.array(mask))
+        return out
+
 
 def _chunk(col):
     return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
@@ -365,53 +338,3 @@ def _runs_lens32(per_posting: pa.Array, starts: np.ndarray) -> pa.Array:
         len(starts),
         [None, pa.py_buffer(run_off.tobytes()), pa.py_buffer(lens.tobytes())],
     )
-
-
-class DocMeta:
-    """content -> docmap rows (seg:int32, doc_id, repo, path, commit,
-    lang, doc_len:uint32, content_sha).
-
-    Second (cheap) pass over the corpus: token COUNTS only — no
-    explode, no per-(doc,term) aggregation — plus the sha256 input
-    invariant.  Keeping doc metadata out of the posting shuffle keeps
-    the wide exchange lean (strings ride once per doc, not per term).
-    """
-
-    def __init__(self, cfg: EngineConfig, done_segs: frozenset[int] = frozenset()):
-        self.cfg = cfg
-        self.done_segs = done_segs
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        doc_ids = _doc_ids_of(batch)
-        lists = tokenize(
-            batch["content"],
-            lowercase=cfg.lowercase,
-            split_subtokens=cfg.split_subtokens,
-            split_regex=cfg.token_split_regex,
-        )
-        doc_len = token_counts(lists).astype(np.uint32)
-        seg = (doc_ids % np.uint64(cfg.num_segments)).astype(np.int32)
-
-        def col(name: str) -> pa.Array:
-            if name in batch.column_names:
-                c = batch[name]
-                return c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
-            return pa.array([""] * len(batch), type=pa.string())
-
-        out = pa.table(
-            {
-                "seg": pa.array(seg, type=pa.int32()),
-                "doc_id": pa.array(doc_ids, type=pa.uint64()),
-                "repo": col("repo"),
-                "path": col("path"),
-                "commit": col("commit"),
-                "lang": col("lang"),
-                "doc_len": pa.array(doc_len, type=pa.uint32()),
-                "content_sha": sha256_hex(batch["content"]),
-            }
-        )
-        if self.done_segs:
-            mask = np.isin(seg, np.fromiter(self.done_segs, dtype=np.int32), invert=True)
-            out = out.filter(pa.array(mask))
-        return out

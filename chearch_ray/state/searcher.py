@@ -38,7 +38,7 @@ import pyarrow as pa
 
 from chearch_ray import ast
 from chearch_ray.config import EngineConfig
-from chearch_ray.functions.codec import decode_blocks, decode_postings_any
+from chearch_ray.functions.codec import decode_blocks, decode_postings
 from chearch_ray.state.segment import DocmapReader, PostingsPartReader, docmap_rel_path, postings_rel_path
 
 _EMPTY_U64 = np.empty(0, dtype=np.uint64)
@@ -244,7 +244,7 @@ class SegmentSearcher:
             out = (_EMPTY_U64, _EMPTY_U64)
         else:
             self.decode_stats["full_decodes"] += 1
-            out = decode_postings_any(enc, self.cfg.block_size, self.cfg.codec)
+            out = decode_postings(enc, self.cfg.block_size)
         if len(self._decoded) > 4096:  # bound the decode cache
             self._decoded.clear()
         self._decoded[term] = out
@@ -340,7 +340,7 @@ class SegmentSearcher:
         miss = np.array([b for b in needed.tolist() if b not in cache], dtype=np.int64)
         if len(miss):
             self.decode_stats["blocks_decoded"] += len(miss)
-            d, t = decode_blocks(enc, miss, self.cfg.block_size, self.cfg.codec)
+            d, t = decode_blocks(enc, miss, self.cfg.block_size)
             bounds = np.concatenate(
                 [[0], np.cumsum(np.minimum(self.cfg.block_size, enc.count - miss * self.cfg.block_size))]
             ).astype(np.int64)

@@ -59,9 +59,7 @@ POSTINGS_SCHEMA = pa.schema(
         ("block_doc_off", pa.list_(pa.int64())),
         ("block_tf_off", pa.list_(pa.int64())),
         # packed positions: per-term varint-delta blob + per-skip-block
-        # byte offsets; absent when store_positions=False.  (Older
-        # files carried a nested `positions` list<list<uint32>> column
-        # instead — still readable.)
+        # byte offsets; absent when store_positions=False.
         ("pos_blob", pa.binary()),
         ("pos_off", pa.list_(pa.int64())),
     ]
@@ -179,6 +177,12 @@ class Manifest:
 
     @property
     def engine_config(self) -> EngineConfig:
+        codec = self.config.get("codec", EngineConfig.codec)
+        if codec != EngineConfig.codec:
+            raise ValueError(
+                f"index postings use codec {codec!r}, which this version cannot "
+                f"read ({EngineConfig.codec!r} only); rebuild the index"
+            )
         valid = {f.name for f in dataclasses.fields(EngineConfig)}
         cfg = {k: v for k, v in self.config.items() if k in valid}
         cfg["input_columns"] = tuple(cfg.get("input_columns", ()))
@@ -211,17 +215,15 @@ class PostingsPartReader:
     reference analogue: the locale-resident term hash table,
     searchindex.chpl:25-53) and serves per-term EncodedPostings."""
 
-    def __init__(self, path: str, cfg_or_block_size):
+    def __init__(self, path: str, cfg: EngineConfig):
         table = pq.read_table(path)
-        if hasattr(cfg_or_block_size, "block_size"):
-            cfg = cfg_or_block_size
-            self.block_size = cfg.block_size
-            self._codec = cfg.codec
-            self._max_pos = cfg.max_positions_per_doc
-        else:  # legacy call shape: bare block_size, varint defaults
-            self.block_size = int(cfg_or_block_size)
-            self._codec = "varint"
-            self._max_pos = 0
+        if "positions" in table.column_names and "pos_blob" not in table.column_names:
+            raise ValueError(
+                f"{path} stores positions as a nested list column, a layout this "
+                "version cannot read; rebuild the index"
+            )
+        self.block_size = cfg.block_size
+        self._max_pos = cfg.max_positions_per_doc
         self._terms = {t: i for i, t in enumerate(table["term"].to_pylist())}
         self._count = table["count"].to_numpy()
         self._doc_blob = table["doc_blob"]
@@ -230,11 +232,10 @@ class PostingsPartReader:
         self._block_max_tf = table["block_max_tf"]
         self._block_doc_off = table["block_doc_off"]
         self._block_tf_off = table["block_tf_off"]
-        #: packed positions (pos_blob + per-block pos_off); the legacy
-        #: nested list<list<uint32>> column is still readable
+        #: packed positions: per-term pos_blob + per-block pos_off
+        #: (absent when the index stores no positions)
         self._pos_blob = table["pos_blob"] if "pos_blob" in table.column_names else None
         self._pos_off = table["pos_off"] if "pos_off" in table.column_names else None
-        self._positions = table["positions"] if "positions" in table.column_names else None
         self._pos_decoded: dict[str, "pa.ListArray"] = {}
         #: per-(term, skip-block) decoded positions: (flat uint32 vals,
         #: block-local int64 offsets).  The lazy per-block path is hit
@@ -297,7 +298,7 @@ class PostingsPartReader:
             return hit
         from chearch_ray.functions.codec import decode_tfs
 
-        tfs = decode_tfs(self.encoded(term), self.block_size, self._codec)
+        tfs = decode_tfs(self.encoded(term))
         tfs = tfs.astype(np.int64)
         out = np.minimum(tfs, self._max_pos) if self._max_pos > 0 else tfs
         if len(self._pos_counts_cache) > 1024:
@@ -307,36 +308,29 @@ class PostingsPartReader:
 
     def positions_arrow(self, term: str):
         """one term's positions as an Arrow list<uint32> array (one row
-        per posting).  Packed format: ONE vectorized varint decode of
-        the term's blob (cached); legacy format: zero-copy child."""
+        per posting): ONE vectorized varint decode of the term's blob
+        (cached)."""
         i = self._terms.get(term)
-        if i is None:
+        if i is None or self._pos_blob is None:
             return None
-        if self._pos_blob is not None:
-            hit = self._pos_decoded.get(term)
-            if hit is not None:
-                return hit
-            from chearch_ray.functions.codec import unpack_position_blob
+        hit = self._pos_decoded.get(term)
+        if hit is not None:
+            return hit
+        from chearch_ray.functions.codec import unpack_position_blob
 
-            blob = self._pos_blob[i].as_py()
-            counts = self._pos_counts(term)
-            flat, offsets = unpack_position_blob(blob, counts)
-            out = pa.ListArray.from_arrays(
-                pa.array(offsets.astype(np.int32), type=pa.int32()),
-                pa.array(flat.astype(np.uint32), type=pa.uint32()),
-            )
-            if len(self._pos_decoded) > 1024:
-                self._pos_decoded.clear()
-            self._pos_decoded[term] = out
-            return out
-        if self._positions is None:
-            return None
-        scalar = self._positions[i]
-        return scalar.values if scalar.is_valid else None
+        blob = self._pos_blob[i].as_py()
+        counts = self._pos_counts(term)
+        flat, offsets = unpack_position_blob(blob, counts)
+        out = pa.ListArray.from_arrays(
+            pa.array(offsets.astype(np.int32), type=pa.int32()),
+            pa.array(flat.astype(np.uint32), type=pa.uint32()),
+        )
+        if len(self._pos_decoded) > 1024:
+            self._pos_decoded.clear()
+        self._pos_decoded[term] = out
+        return out
 
     def positions(self, term: str) -> list | None:
-        if self._pos_blob is None and self._positions is None:
-            return None
         arr = self.positions_arrow(term)
         return None if arr is None else arr.to_pylist()
 
@@ -346,10 +340,10 @@ class PostingsPartReader:
         block byte offsets) — the lazy path for phrase candidates
         against hot terms.  Returns a list<uint32> ListArray aligned
         with `rows`, or None when positions are unavailable.  Falls
-        back to the cached full decode for legacy files or when the
-        term is already decoded."""
+        back to the cached full decode when the term is already
+        decoded."""
         i = self._terms.get(term)
-        if i is None:
+        if i is None or self._pos_blob is None:
             return None
         rows = np.asarray(rows, dtype=np.int64)
         counts = self._pos_counts(term)
@@ -379,14 +373,12 @@ class PostingsPartReader:
 
     def _full_positions_if_cheap(self, term: str, rows: np.ndarray,
                                  n_post: int):
-        """the cached full decode when it exists / is legacy-only / is
-        cheaper than touching most skip blocks anyway (the gate is on
-        BLOCKS touched, not row count: a few hundred rank-ordered
-        scattered candidates touch most blocks of a hot term, so
-        per-block decode would cost nearly a full decode per call)."""
+        """the cached full decode when it exists / is cheaper than
+        touching most skip blocks anyway (the gate is on BLOCKS
+        touched, not row count: a few hundred rank-ordered scattered
+        candidates touch most blocks of a hot term, so per-block decode
+        would cost nearly a full decode per call)."""
         full = self._pos_decoded.get(term)
-        if full is None and self._pos_blob is None:
-            full = self.positions_arrow(term)  # legacy nested path
         if full is None and (len(np.unique(rows // self.block_size))
                              * self.block_size * 2 >= n_post):
             full = self.positions_arrow(term)
@@ -401,7 +393,7 @@ class PostingsPartReader:
         span-near latency on hot terms).  Returns None when positions
         are unavailable."""
         i = self._terms.get(term)
-        if i is None:
+        if i is None or self._pos_blob is None:
             return None
         rows = np.asarray(rows, dtype=np.int64)
         counts = self._pos_counts(term)
@@ -509,43 +501,37 @@ class PostingsPartReader:
         """per-POSTING packed position cells (binary array, term-major
         file row order) — the merge path re-ships these bytes through
         the rebuild without re-encoding.  None when positions were not
-        stored; legacy nested files re-pack."""
-        if self._pos_blob is not None:
-            parts: list[pa.Array] = []
-            for term in self._terms:
-                i = self._terms[term]
-                blob = np.frombuffer(self._pos_blob[i].as_py(), dtype=np.uint8)
-                counts = self._pos_counts(term)
-                # per-posting byte boundaries: varint value ends, taken
-                # at each posting's cumulative occurrence count
-                ends = np.flatnonzero(blob < 0x80)
-                cum = np.cumsum(counts)
-                if len(cum) == 0 or cum[-1] == 0:
-                    byte_off = np.zeros(len(counts) + 1, dtype=np.int64)
-                else:
-                    byte_off = np.concatenate(
-                        [[0], np.where(cum > 0, ends[np.maximum(cum - 1, 0)] + 1, 0)]
-                    )
-                # zero-count postings must inherit the previous offset
-                byte_off = np.maximum.accumulate(byte_off)
-                parts.append(
-                    pa.Array.from_buffers(
-                        pa.binary(),
-                        len(counts),
-                        [None, pa.py_buffer(byte_off.astype(np.int32).tobytes()),
-                         pa.py_buffer(blob.tobytes())],
-                    )
-                )
-            if not parts:
-                return pa.array([], type=pa.binary())
-            return pa.concat_arrays(parts)
-        if self._positions is None:
+        stored."""
+        if self._pos_blob is None:
             return None
-        from chearch_ray.functions.codec import pack_position_lists
-
-        col = self._positions
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        return pack_position_lists(col.flatten())
+        parts: list[pa.Array] = []
+        for term in self._terms:
+            i = self._terms[term]
+            blob = np.frombuffer(self._pos_blob[i].as_py(), dtype=np.uint8)
+            counts = self._pos_counts(term)
+            # per-posting byte boundaries: varint value ends, taken
+            # at each posting's cumulative occurrence count
+            ends = np.flatnonzero(blob < 0x80)
+            cum = np.cumsum(counts)
+            if len(cum) == 0 or cum[-1] == 0:
+                byte_off = np.zeros(len(counts) + 1, dtype=np.int64)
+            else:
+                byte_off = np.concatenate(
+                    [[0], np.where(cum > 0, ends[np.maximum(cum - 1, 0)] + 1, 0)]
+                )
+            # zero-count postings must inherit the previous offset
+            byte_off = np.maximum.accumulate(byte_off)
+            parts.append(
+                pa.Array.from_buffers(
+                    pa.binary(),
+                    len(counts),
+                    [None, pa.py_buffer(byte_off.astype(np.int32).tobytes()),
+                     pa.py_buffer(blob.tobytes())],
+                )
+            )
+        if not parts:
+            return pa.array([], type=pa.binary())
+        return pa.concat_arrays(parts)
 
 
 class DocmapReader:

@@ -42,7 +42,6 @@ def main() -> int:
     ap.add_argument("--resume", action="store_true", default=True)
     ap.add_argument("--no-resume", dest="resume", action="store_false")
     ap.add_argument("--dedup", default="none", choices=["none", "exact"])
-    ap.add_argument("--codec", default="varint", choices=["varint", "bp128"])
     ap.add_argument("--format", default="parquet", choices=["parquet", "json", "csv", "text"])
     ap.add_argument("--text-column", default=None,
                     help="rename this column to `content` (e.g. `text` for the documents table)")
@@ -104,9 +103,7 @@ def main() -> int:
     num_segments, num_term_shards = plan_partitions(n_est)
     if args.segments:
         num_segments = args.segments
-    cfg = EngineConfig(
-        num_segments=num_segments, num_term_shards=num_term_shards, codec=args.codec
-    )
+    cfg = EngineConfig(num_segments=num_segments, num_term_shards=num_term_shards)
     print(f"building: ~{n_est} docs -> {num_segments} segments x {num_term_shards} shards")
     t0 = time.time()
     manifest = build_index(corpus, args.index, cfg, resume=args.resume, dedup=args.dedup)

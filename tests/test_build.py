@@ -214,10 +214,9 @@ def test_read_block_override_identical_output(ray_session, corpus, tmp_path):
 
 
 def test_salted_build_identical_output(ray_session, corpus, tmp_path):
-    """salt composes with BOTH shuffle paths: the default partitioned
-    exchange (salt = hive sub-partition, ROADMAP #7) and the
-    sort-groupby two-phase merge — output byte-identical to the
-    unsalted build either way."""
+    """salt composes with the partitioned exchange (salt = hive
+    sub-partition, ROADMAP #7): output byte-identical to the unsalted
+    build."""
     import glob as _glob
 
     import ray.data
@@ -225,23 +224,20 @@ def test_salted_build_identical_output(ray_session, corpus, tmp_path):
     d1 = str(tmp_path / "plain")
     m1 = build_index(ray.data.from_arrow(corpus), d1, CFG)
     shas1 = {p["part"]: p["sha"] for p in m1.postings_parts}
-    for mode in ("partitioned", "sort"):
-        cfg_salt = EngineConfig(
-            num_segments=2, num_term_shards=3, block_size=16,
-            tokenize_batch_size=64, build_salt=4, shuffle_mode=mode,
-        )
-        d2 = str(tmp_path / f"salted_{mode}")
-        if mode == "partitioned":
-            os.environ["CHEARCH_RAY_KEEP_RUNS"] = "1"
-        try:
-            m2 = build_index(ray.data.from_arrow(corpus), d2, cfg_salt)
-        finally:
-            os.environ.pop("CHEARCH_RAY_KEEP_RUNS", None)
-        shas2 = {p["part"]: p["sha"] for p in m2.postings_parts}
-        assert shas1 == shas2, mode  # same bytes regardless of build path
-        if mode == "partitioned":
-            # the hive layout actually sub-partitioned by salt
-            assert _glob.glob(os.path.join(d2, "_shuffle", "part=*", "salt=*"))
+    cfg_salt = EngineConfig(
+        num_segments=2, num_term_shards=3, block_size=16,
+        tokenize_batch_size=64, build_salt=4,
+    )
+    d2 = str(tmp_path / "salted")
+    os.environ["CHEARCH_RAY_KEEP_RUNS"] = "1"
+    try:
+        m2 = build_index(ray.data.from_arrow(corpus), d2, cfg_salt)
+    finally:
+        os.environ.pop("CHEARCH_RAY_KEEP_RUNS", None)
+    shas2 = {p["part"]: p["sha"] for p in m2.postings_parts}
+    assert shas1 == shas2  # same bytes regardless of salt
+    # the hive layout actually sub-partitioned by salt
+    assert _glob.glob(os.path.join(d2, "_shuffle", "part=*", "salt=*"))
 
 
 # ------------------------------------------------------------- resume
@@ -442,26 +438,6 @@ def test_build_deterministic_across_batch_sizes(ray_session, corpus, tmp_path):
     assert {p["part"]: p["sha"] for p in m_small.docmap_parts} == {
         p["part"]: p["sha"] for p in m_big.docmap_parts
     }
-
-
-def test_bp128_codec_build_search_identical(ray_session, corpus, oracle, tmp_path):
-    """codec='bp128' index returns identical search results."""
-    import dataclasses
-
-    import ray.data
-
-    cfg_bp = dataclasses.replace(CFG, codec="bp128")
-    build_index(ray.data.from_arrow(corpus), str(tmp_path / "bp"), cfg_bp)
-    eng = QueryEngine(str(tmp_path / "bp"), use_actors=False)
-    assert eng.cfg.codec == "bp128"  # manifest carries the codec
-    hot = _hot_terms(oracle, 3)
-    for tree in (
-        ast.Term(hot[0]),
-        ast.And(ast.Term(hot[0]), ast.Term(hot[1])),
-        ast.Or(ast.Term(hot[1]), ast.Term(hot[2])),
-    ):
-        _check_bm25(eng, oracle, tree)
-        assert eng.search_boolean(tree)["doc_id"].to_pylist() == oracle.boolean_search(tree)
 
 
 def test_phrase_search(engine, oracle, corpus):
@@ -685,26 +661,8 @@ def test_near_all_two_term_matches_pairwise_near(engine, oracle):
         engine.search_near_all([a, b], slop=0)
 
 
-def test_pfor_codec_build_search_identical(ray_session, corpus, oracle, tmp_path):
-    import dataclasses
-
-    import ray.data
-
-    cfg_pf = dataclasses.replace(CFG, codec="pfor")
-    build_index(ray.data.from_arrow(corpus), str(tmp_path / "pf"), cfg_pf)
-    eng = QueryEngine(str(tmp_path / "pf"), use_actors=False)
-    assert eng.cfg.codec == "pfor"
-    hot = _hot_terms(oracle, 3)
-    for tree in (
-        ast.Term(hot[0]),
-        ast.And(ast.Term(hot[0]), ast.Term(hot[1])),
-        ast.Or(ast.Term(hot[1]), ast.Term(hot[2])),
-    ):
-        _check_bm25(eng, oracle, tree)
-
-
 # ------------------------------------------------- skip-block laziness
-@pytest.mark.parametrize("codec", ["varint", "bp128", "pfor"])
+@pytest.mark.parametrize("codec", ["varint"])
 def test_skip_blocks_actually_skip(ray_session, tmp_path, codec):
     """A selective AND against a hot term must decode only the skip
     blocks straddling the rare side's docs — never the hot term's full
@@ -728,7 +686,7 @@ def test_skip_blocks_actually_skip(ray_session, tmp_path, codec):
         }
     )
     cfg = EngineConfig(
-        num_segments=1, num_term_shards=2, block_size=16, tokenize_batch_size=512, codec=codec
+        num_segments=1, num_term_shards=2, block_size=16, tokenize_batch_size=512
     )
     idx = str(tmp_path / f"skip-{codec}")
     build_index(ray.data.from_arrow(corpus2), idx, cfg)

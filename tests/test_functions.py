@@ -317,21 +317,6 @@ def test_sharded_corpus_generation_identical():
     assert pa.concat_tables(parts).equals(whole)
 
 
-@given(sorted_unique_u64(), st.sampled_from([4, 128]))
-@settings(max_examples=60)
-def test_bp128_roundtrip(doc_ids, block_size):
-    docs = np.array(doc_ids, dtype=np.uint64)
-    tfs = (docs % np.uint64(31)) + np.uint64(1)
-    enc = codec.encode_postings_bp(docs, tfs, block_size=block_size)
-    d, t = codec.decode_postings_any(enc, block_size, "bp128")
-    assert d.tolist() == doc_ids
-    assert t.tolist() == tfs.tolist()
-    # block metadata identical to the varint codec's
-    ev = codec.encode_postings(docs, tfs, block_size=block_size)
-    assert enc.block_last.tolist() == ev.block_last.tolist()
-    assert enc.block_max_tf.tolist() == ev.block_max_tf.tolist()
-
-
 def _regex_tokenize_reference(texts):
     """pure regex reference for the fast-path equivalence test."""
     import re
@@ -358,62 +343,29 @@ def test_non_ascii_falls_back_to_regex_path():
     assert lists.to_pylist() == [["mile", "zola"], ["plain", "ascii"]]
 
 
-@given(sorted_unique_u64(), st.sampled_from([4, 128]))
-@settings(max_examples=60)
-def test_pfor_roundtrip(doc_ids, block_size):
-    docs = np.array(doc_ids, dtype=np.uint64)
-    tfs = (docs % np.uint64(31)) + np.uint64(1)
-    enc = codec.encode_postings_bp(docs, tfs, block_size=block_size,
-                                   stream_encode=codec.pfor_encode_stream)
-    d, t = codec.decode_postings_any(enc, block_size, "pfor")
-    assert d.tolist() == doc_ids
-    assert t.tolist() == tfs.tolist()
-
-
-def test_pfor_beats_bp_on_outliers():
-    rng = np.random.default_rng(5)
-    deltas = rng.integers(1, 50, size=256, dtype=np.uint64)
-    deltas[[10, 100, 200]] = 2**45
-    pf, _ = codec.pfor_encode_stream(deltas, 128)
-    bp, _ = codec.bp_encode_stream(deltas, 128)
-    assert len(pf) < len(bp) // 2
-
-
 # ----------------------------------------------- decode_blocks property
 def test_decode_blocks_matches_full_decode_property():
     """any subset of skip blocks decodes to the matching slices of the
-    full decode, for every codec (hypothesis-driven)."""
+    full decode (hypothesis-driven)."""
     import numpy as np
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from chearch_ray.functions.codec import (
-        decode_blocks,
-        decode_postings_any,
-        encode_postings,
-        encode_postings_bp,
-        pfor_encode_stream,
-    )
+    from chearch_ray.functions.codec import decode_blocks, decode_postings, encode_postings
 
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(1, 400),
         seed=st.integers(0, 2**31 - 1),
-        codec=st.sampled_from(["varint", "bp128", "pfor"]),
         data=st.data(),
     )
-    def run(n, seed, codec, data):
+    def run(n, seed, data):
         rng = np.random.default_rng(seed)
         docs = np.cumsum(rng.integers(1, 1 << 40, size=n, dtype=np.uint64)).astype(np.uint64)
         tfs = rng.integers(1, 200, size=n, dtype=np.uint64)
         bs = 16
-        if codec == "varint":
-            enc = encode_postings(docs, tfs, block_size=bs)
-        elif codec == "bp128":
-            enc = encode_postings_bp(docs, tfs, block_size=bs)
-        else:
-            enc = encode_postings_bp(docs, tfs, block_size=bs, stream_encode=pfor_encode_stream)
-        full_docs, full_tfs = decode_postings_any(enc, bs, codec)
+        enc = encode_postings(docs, tfs, block_size=bs)
+        full_docs, full_tfs = decode_postings(enc, bs)
         np.testing.assert_array_equal(full_docs, docs)
         n_blocks = len(enc.block_last)
         subset = sorted(
@@ -421,7 +373,7 @@ def test_decode_blocks_matches_full_decode_property():
                 st.sets(st.integers(0, n_blocks - 1), min_size=1, max_size=n_blocks)
             )
         )
-        got_d, got_t = decode_blocks(enc, np.array(subset, dtype=np.int64), bs, codec)
+        got_d, got_t = decode_blocks(enc, np.array(subset, dtype=np.int64), bs)
         want_d = np.concatenate(
             [docs[b * bs : (b + 1) * bs] for b in subset]
         )

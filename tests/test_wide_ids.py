@@ -156,10 +156,12 @@ def test_wide_mode_duplicate_external_id_rejected(ray_session, tmp_path):
 
 
 def test_wide_mode_requires_partitioned_shuffle(ray_session, tmp_path):
+    """wide ids need the unsalted exchange: docmap ordinals are assigned
+    before postings finalize."""
     import ray.data
 
-    cfg = EngineConfig(doc_id_bits=128, shuffle_mode="sort")
-    with pytest.raises(ValueError, match="partitioned"):
+    cfg = EngineConfig(doc_id_bits=128, build_salt=2)
+    with pytest.raises(ValueError, match="build_salt=1"):
         build_index(
             ray.data.from_arrow(_collision_corpus()), str(tmp_path / "bad"), cfg
         )
