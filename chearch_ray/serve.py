@@ -255,13 +255,10 @@ class WireEngine:
             else [None] * len(docs)
         )
         terms = self._match_terms(tree)
-        searchers = (
-            self.engine._local if not self.engine.use_actors else None
-        )
         records: list[QueryResult] = []
         for doc, hi in zip(docs, his):
             for term in terms:
-                first = self._first_position(term, doc, searchers, doc_hi=hi)
+                first = self.engine.first_position(term, doc, doc_hi=hi)
                 if first is None:
                     continue
                 records.append(
@@ -349,20 +346,6 @@ class WireEngine:
         resp = b"".join(out)
         self._cache_put(key, resp)
         return resp
-
-    def _first_position(self, term: str, doc: int, searchers, doc_hi: int | None = None):
-        seg = int(doc) % self.engine.cfg.num_segments
-        if searchers is not None:
-            for s in searchers:
-                if s.seg == seg:
-                    return s.first_position(term, doc, doc_hi=doc_hi)
-            return None
-        import ray
-
-        for segs, actor in zip(self.engine.actor_segments, self.engine._actors):
-            if seg in segs:
-                return ray.get(actor.first_position.remote(term, doc, doc_hi=doc_hi))
-        return None
 
 
 # --------------------------------------------------------- TCP transport

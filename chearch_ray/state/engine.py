@@ -41,6 +41,10 @@ from chearch_ray.state.segment import Manifest
 #: vocabulary; distinct from (and never below) the final-expansion cap
 WILDCARD_CANDIDATE_CAP = 1 << 20
 
+#: the plan of a provably-empty query: tokenizer output never contains
+#: NUL, so every segment evaluates it to the empty set
+_NO_MATCH = ast.Term("\x00∅")
+
 #: literal word chars a regexp pattern may open with — anything else
 #: ends the extractable prefix
 _REGEXP_LITERAL_RE = re.compile(r"[a-z0-9_]+")
@@ -275,17 +279,19 @@ class QueryEngine:
         return int(k)
 
     def _topk(self, method: str, k, collapse: str | None = None, **kw) -> pa.Table:
-        """The shared top-k path: validate k, run group operator
-        `method` (keyword arguments) everywhere, merge the groups'
-        tables (collapsed on column `collapse` when given)."""
+        """The shared top-k path: validate k, run segment operator
+        `method` (keyword arguments) through every group's `topk`,
+        merge the groups' tables (collapsed on column `collapse` when
+        given)."""
         k = self._k(k)
-        return self._merge_topk(self._scatter(method, k=k, **kw), k, collapse)
+        return self._merge_topk(
+            self._scatter("topk", method, k=k, collapse=collapse, **kw), k, collapse)
 
     @staticmethod
     def _merge_topk(tables: list, k: int, collapse: str | None = None) -> pa.Table:
         """Global (score desc, doc key asc) top-k over the groups'
         top-k tables.  Each group already merged and projected its own
-        members' hits (SearcherGroup._topk), so a single group's table
+        members' hits (SearcherGroup.topk), so a single group's table
         IS the answer."""
         if len(tables) == 1:
             return tables[0]
@@ -504,6 +510,12 @@ class QueryEngine:
                 hit = sorted(c for c, d in zip(cands, dist) if d <= max_distance)
             else:
                 hit = []
+            # cap BEFORE caching (expand_prefix's discipline)
+            if len(hit) > max_expansions:
+                raise ValueError(
+                    f"fuzzy {term!r}~{max_distance} expands to {len(hit)} terms "
+                    f"(cap {max_expansions})"
+                )
             if len(self._fuzzy_cache) > 1024:
                 self._fuzzy_cache.clear()
             self._fuzzy_cache[cache_key] = hit
@@ -574,7 +586,7 @@ class QueryEngine:
         (tokenizer output never contains NUL), which evaluates to the
         empty set in every segment with the normal projection schema."""
         out = self._rewrite(node)
-        return ast.Term("\x00∅") if out is None else out
+        return _NO_MATCH if out is None else out
 
     def _rewrite(self, node: ast.Node) -> ast.Node | None:
         """Expand Prefix leaves into sorted Or chains of matched terms
@@ -756,11 +768,7 @@ class QueryEngine:
         # plans once for snippet-term extraction) — re-planning is
         # idempotent but re-walks the whole expanded tree per request
         node = query if _planned else self._plan(parse_query(query, default_op))
-        idfs = self.idfs_for(node, boosts)
-        if filter is None:
-            return self._topk("search_bm25", k, node=node, idfs=idfs,
-                              avgdl=self.avgdl, with_meta=with_meta)
-        return self._topk("search_bm25_filtered", k, node=node, idfs=idfs,
+        return self._topk("search_bm25", k, node=node, idfs=self.idfs_for(node, boosts),
                           avgdl=self.avgdl, flt=filter, with_meta=with_meta)
 
     def explain(self, query: str | ast.Node, k: int | None = None,
@@ -789,7 +797,7 @@ class QueryEngine:
         lo = top["doc_id"].to_numpy().astype(np.uint64)
         wide = "doc_id_hi" in top.column_names
         hi = top["doc_id_hi"].to_numpy().astype(np.uint64) if wide else None
-        per = pa.concat_tables(self._scatter("explain_rows", terms, lo, hi))
+        per = pa.concat_tables(self._scatter("concat", "explain_rows", terms, lo, hi))
         # rank/score lookups keyed by (hi, lo) in wide mode, lo alone
         # otherwise; each result doc lives in exactly one segment, so
         # the concat has one row per (doc, matching term)
@@ -929,13 +937,8 @@ class QueryEngine:
 
         if contains_phrase(parsed):
             return self._boolean_with_phrases(parsed, filter=filter, limit=limit)
-        node = self._plan(parsed)
-        if filter is None:
-            tables = self._scatter("search_boolean", node, limit, with_meta)
-        else:
-            tables = self._scatter("search_boolean_filtered", node, filter, limit,
-                                   with_meta)
-        merged = pa.concat_tables(tables)
+        merged = pa.concat_tables(self._scatter(
+            "concat", "search_boolean", self._plan(parsed), limit, with_meta, flt=filter))
         if len(merged) == 0:
             return merged
         order = np.argsort(_merge_tie_key(merged), kind="stable")
@@ -996,6 +999,21 @@ class QueryEngine:
             return len(self._boolean_with_phrases(parsed, filter=filter,
                                                   limit=1 << 62))
         return sum(self._scatter("count", self._plan(parsed), flt=filter))
+
+    def first_position(self, term: str, doc_id: int, doc_hi: int | None = None):
+        """First token position of `term` in doc `doc_id` (`doc_hi` =
+        the high word in doc_id_bits=128 mode): 0 when the doc matches
+        but positions are not stored, None when it does not contain the
+        term.  One call, to the group that holds the doc's segment."""
+        if not self.use_actors:
+            return self._group.first_position(term, doc_id, doc_hi=doc_hi)
+        import ray
+
+        seg = int(doc_id) % self.cfg.num_segments
+        for segs, actor in zip(self.actor_segments, self._actors):
+            if seg in segs:
+                return ray.get(actor.first_position.remote(term, doc_id, doc_hi=doc_hi))
+        return None
 
     # ------------------------------------------- phrase-in-boolean
     def _id_columns(self) -> list[str]:
@@ -1072,28 +1090,23 @@ class QueryEngine:
     def search_many(
         self, queries: list, k: int | None = None, default_op: str = "or"
     ) -> pa.Table:
-        """BM25 top-k for a batch of queries; one remote call per
-        segment for the whole batch.  Returns a table with a query_id
-        column (index into `queries`), each query's rows ordered
-        (score desc, doc_id asc)."""
+        """BM25 top-k for a batch of queries; one call per searcher
+        group for the whole batch.  Returns each query's `search`
+        result with a query_id column (index into `queries`), in query
+        order; an empty batch is the typed empty table."""
         nodes = [self._plan(parse_query(q, default_op)) for q in queries]
         k = self._k(k)
-        idfs: dict[str, float] = {}
-        for node in nodes:
-            idfs.update(self.idfs_for(node))
-        merged = pa.concat_tables(
-            self._scatter("search_bm25_batch", nodes, k, idfs, self.avgdl))
-        if len(merged) == 0:
-            return merged
-        qids = merged["query_id"].to_numpy()
-        scores = merged["score"].to_numpy()
-        doc_ids = _merge_tie_key(merged)
-        keep: list[int] = []
-        for q in range(len(nodes)):
-            m = np.flatnonzero(qids == q)
-            order = topk_order(scores[m], doc_ids[m], k)
-            keep.extend(m[order].tolist())
-        return merged.take(pa.array(keep, type=pa.int64()))
+        # an empty batch runs one no-match query for the typed schema
+        calls = [dict(node=n, idfs=self.idfs_for(n), avgdl=self.avgdl)
+                 for n in nodes or [_NO_MATCH]]
+        per_group = self._scatter("topk_many", "search_bm25", k, calls)
+        tables = []
+        for q, ts in enumerate(zip(*per_group)):
+            t = self._merge_topk(list(ts), k)
+            tables.append(t.append_column(
+                "query_id", pa.array(np.full(len(t), q), type=pa.int64())))
+        out = pa.concat_tables(tables)
+        return out if nodes else out.slice(0, 0)
 
     def build_suggest_index(self, max_distance: int = 2) -> str:
         """Precompute the SymSpell deletion-neighborhood index under
@@ -1260,7 +1273,7 @@ class QueryEngine:
         partition_limit result window; each segment ships only its
         histogram partial."""
         node = self._plan(parse_query(query, default_op))
-        merged = pa.concat_tables(self._scatter("facet_histogram", node, bucket_width))
+        merged = pa.concat_tables(self._scatter("concat", "facet_histogram", node, bucket_width))
         if len(merged) == 0:
             return merged
         agg = merged.group_by("bucket_lo", use_threads=False).aggregate([("n", "sum")])
@@ -1296,7 +1309,7 @@ class QueryEngine:
                 f"facet_stats by must be a docmap column {schema.names}, "
                 f"not {by!r}")
         node = self._plan(parse_query(query, default_op))
-        merged = pa.concat_tables(self._scatter("facet_stats", node, by, flt=filter))
+        merged = pa.concat_tables(self._scatter("concat", "facet_stats", node, by, flt=filter))
         if len(merged) == 0:
             by_type = schema.field(by).type if schema is not None else pa.string()
             return pa.table({

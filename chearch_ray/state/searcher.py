@@ -498,12 +498,15 @@ class SegmentSearcher:
         out["dl"] = pa.array(cat(cols_dl, np.int64), type=pa.int64())
         return pa.table(out)
 
-    def _candidates(self, node: ast.Node) -> np.ndarray:
-        """_eval_sets minus tombstoned docs — the single candidate
-        source for every non-fast-path search mode."""
+    def _candidates(self, node: ast.Node, flt: dict | None = None) -> np.ndarray:
+        """_eval_sets minus tombstoned docs, narrowed to the metadata
+        predicate `flt` when given — the single candidate source for
+        every non-fast-path search mode."""
         docs = self._eval_sets(node)
         if len(self.deleted):
             docs = docs[self._not_deleted(docs)]
+        if flt is not None:
+            docs = intersect_sorted(docs, self._filter_allowed(flt))
         return docs
 
     def _after_mask(
@@ -539,10 +542,11 @@ class SegmentSearcher:
         return mask
 
     def search_boolean(self, node: ast.Node, limit: int | None = None,
-                       with_meta: bool = True) -> pa.Table:
+                       with_meta: bool = True, flt: dict | None = None) -> pa.Table:
         """Doc-level boolean retrieval, ascending doc_id, capped at
-        partition_limit per segment (reference search.chpl:17)."""
-        docs = self._candidates(node)
+        partition_limit per segment (reference search.chpl:17).  `flt`
+        restricts the match set by docmap metadata before the cap."""
+        docs = self._candidates(node, flt)
         cap = limit if limit is not None else self.cfg.partition_limit
         docs = docs[:cap]
         return self._project(docs, scores=None, with_meta=with_meta)
@@ -553,10 +557,7 @@ class SegmentSearcher:
         aggregate over the full match set, not a result window), and
         the segment ships ONE integer, not ids.  `flt` restricts the
         counted set by docmap metadata."""
-        docs = self._candidates(node)
-        if flt is not None:
-            docs = intersect_sorted(docs, self._filter_allowed(flt))
-        return int(len(docs))
+        return int(len(self._candidates(node, flt)))
 
     def facet_histogram(self, node: ast.Node, bucket_width: int) -> pa.Table:
         """Numeric histogram aggregation over ALL matching docs'
@@ -598,9 +599,7 @@ class SegmentSearcher:
         })
         if self.docmap is None:
             return empty
-        docs = self._candidates(node)
-        if flt is not None:
-            docs = intersect_sorted(docs, self._filter_allowed(flt))
+        docs = self._candidates(node, flt)
         if len(docs) == 0:
             return empty
         dl = self.docmap.lengths_for(docs).astype(np.int64)
@@ -628,7 +627,9 @@ class SegmentSearcher:
         Computed once per predicate per actor (the docmap is
         actor-resident state, so this is a vectorized scan of local
         Arrow columns, never a network fetch) and cached like the
-        postings caches."""
+        postings caches.  A segment without a docmap allows nothing."""
+        if self.docmap is None:
+            return _EMPTY_U64
         key = tuple(sorted((c, tuple(v)) for c, v in flt.items()))
         cached = self._filter_cache.get(key)
         if cached is not None:
@@ -684,58 +685,9 @@ class SegmentSearcher:
         self._filter_cache[key] = allowed
         return allowed
 
-    def search_bm25_filtered(
-        self,
-        node: ast.Node,
-        k: int,
-        idfs: dict[str, float],
-        avgdl: float,
-        flt: dict[str, list[str]],
-        with_meta: bool = True,
-    ) -> pa.Table:
-        """BM25 top-k restricted to docs matching the metadata
-        predicate.  The filter narrows the CANDIDATE set before
-        scoring/top-k (a post-filtered unrestricted top-k would drop
-        qualifying docs); scores stay the global-stats BM25 of the
-        unfiltered engine, so a doc's score is identical with and
-        without a filter.  Uses the generic eval+score path rather
-        than the MaxScore/conjunctive fast paths: their pruning
-        thresholds would be built from pre-filter accumulations."""
-        if self.docmap is None:
-            return self._project(_EMPTY_U64, scores=np.empty(0), with_meta=with_meta)
-        allowed = self._filter_allowed(flt)
-        if len(self.deleted):
-            allowed = allowed[self._not_deleted(allowed)]
-        if (
-            self.cfg.use_maxscore
-            and isinstance(node, ast.Or)
-            and ast.is_disjunctive(node)
-        ):
-            terms = [str(t) for t in ast.terms_of(node)]
-            if len(terms) >= 2:
-                docs, scores = self._maxscore_disjunctive(
-                    terms, k, idfs, avgdl, allowed=allowed
-                )
-                return self._project(docs, scores=scores, with_meta=with_meta)
-        candidates = intersect_sorted(self._candidates(node), allowed)
-        if len(candidates) == 0:
-            return self._project(candidates, scores=np.empty(0), with_meta=with_meta)
-        scores = self._score_docs(
-            candidates, [str(t) for t in ast.terms_of(node)], idfs, avgdl
-        )
-        order = topk_order(scores, candidates, k)
-        return self._project(candidates[order], scores=scores[order], with_meta=with_meta)
-
-    def search_boolean_filtered(
-        self, node: ast.Node, flt: dict[str, list[str]], limit: int | None = None,
-        with_meta: bool = True,
-    ) -> pa.Table:
-        if self.docmap is None:
-            return self._project(_EMPTY_U64, scores=None, with_meta=with_meta)
-        allowed = self._filter_allowed(flt)
-        docs = intersect_sorted(self._candidates(node), allowed)
-        cap = limit if limit is not None else self.cfg.partition_limit
-        return self._project(docs[:cap], scores=None, with_meta=with_meta)
+    # the filtered form by its old name (perfbench/query.py calls it)
+    def search_bm25_filtered(self, node, k, idfs, avgdl, flt, with_meta=True):
+        return self.search_bm25(node, k, idfs, avgdl, with_meta=with_meta, flt=flt)
 
     def max_tf(self, term: str) -> int:
         reader = self.shards.get(self._sharder.shard_of(term))
@@ -750,6 +702,7 @@ class SegmentSearcher:
         avgdl: float,
         after: tuple | None = None,
         with_meta: bool = True,
+        flt: dict[str, list] | None = None,
     ) -> pa.Table:
         """BM25 top-k.  `after` = cursor pagination: restrict to docs
         sorting strictly after (score, key) in the global order (see
@@ -758,6 +711,15 @@ class SegmentSearcher:
         page-n queries keep every fast path instead of the exhaustive
         all-candidates gather.
 
+        `flt` restricts results to docs matching the metadata
+        predicate (_filter_allowed).  The filter narrows the CANDIDATE
+        set before scoring/top-k (a post-filtered unrestricted top-k
+        would drop qualifying docs); scores stay the global-stats BM25
+        of the unfiltered engine, so a doc's score is identical with
+        and without a filter.  Filtered queries take MaxScore (which
+        builds its thresholds from qualifying docs only) or the
+        generic eval+score path, never the term/AND fast paths.
+
         `with_meta=False` skips the docmap metadata projection (the
         result path's single biggest fixed cost per segment) for
         callers that only consume (doc_id, score) — the TCP text and
@@ -765,21 +727,28 @@ class SegmentSearcher:
         from the docstore sidecar instead of the docmap."""
         if self.docmap is None:
             return self._project(_EMPTY_U64, scores=np.empty(0), with_meta=with_meta)
+        allowed = None
+        if flt is not None:
+            # the qualifying live docs, computed once for either route
+            allowed = self._filter_allowed(flt)
+            if len(self.deleted):
+                allowed = allowed[self._not_deleted(allowed)]
         if (
             self.cfg.use_maxscore
-            and len(self.deleted) == 0  # live-docs: exact top-k needs
-            # deleted docs out BEFORE threshold accumulation — route
-            # to the generic candidates path instead
+            # live-docs: exact top-k needs deleted docs out BEFORE
+            # threshold accumulation — `allowed` has them out already,
+            # otherwise route to the generic candidates path
+            and (allowed is not None or len(self.deleted) == 0)
             and isinstance(node, ast.Or)
             and ast.is_disjunctive(node)
         ):
             terms = [str(t) for t in ast.terms_of(node)]
             if len(terms) >= 2:
                 docs, scores = self._maxscore_disjunctive(
-                    terms, k, idfs, avgdl, after=after
+                    terms, k, idfs, avgdl, allowed=allowed, after=after
                 )
                 return self._project(docs, scores=scores, with_meta=with_meta)
-        if isinstance(node, ast.Term):
+        if allowed is None and isinstance(node, ast.Term):
             # a term's candidates ARE its postings — the generic path
             # would searchsorted the list into itself to re-find tfs
             term = str(node.term)
@@ -800,7 +769,7 @@ class SegmentSearcher:
                 docs, scores = docs[keep], scores[keep]
             order = topk_order(scores, docs, k)
             return self._project(docs[order], scores=scores[order], with_meta=with_meta)
-        if isinstance(node, ast.And) and ast.is_conjunctive(node):
+        if allowed is None and isinstance(node, ast.And) and ast.is_conjunctive(node):
             # pure AND: evaluate and score in one pass — the tfs found
             # while intersecting are exactly the tfs scoring needs, so
             # no term is probed twice.  Float-identical to the generic
@@ -828,6 +797,8 @@ class SegmentSearcher:
             order = topk_order(scores, docs, k)
             return self._project(docs[order], scores=scores[order], with_meta=with_meta)
         candidates = self._candidates(node)
+        if allowed is not None:
+            candidates = intersect_sorted(candidates, allowed)
         if len(candidates) == 0:
             return self._project(candidates, scores=np.empty(0), with_meta=with_meta)
         scores = self._score_docs(candidates, [str(t) for t in ast.terms_of(node)], idfs, avgdl)
@@ -1045,9 +1016,7 @@ class SegmentSearcher:
                 [str(t) for t in ast.terms_of(node)], idfs, avgdl,
                 flt=flt)
         else:
-            cands = self._candidates(node)
-            if flt is not None:
-                cands = intersect_sorted(cands, self._filter_allowed(flt))
+            cands = self._candidates(node, flt)
             scores = (self._score_docs(
                 cands, [str(t) for t in ast.terms_of(node)], idfs, avgdl)
                 if len(cands) else np.empty(0))
@@ -1241,15 +1210,9 @@ class SegmentSearcher:
                 kth,
             )
             skipped_carry += skipped_max
-            if allowed is not None and len(docs_e):
-                pos = np.searchsorted(allowed, docs_e)
-                pos_c = np.minimum(pos, max(len(allowed) - 1, 0))
-                in_allowed = (
-                    allowed[pos_c] == docs_e
-                    if len(allowed)
-                    else np.zeros(len(docs_e), dtype=bool)
-                )
-                docs_e, tfs_e = docs_e[in_allowed], tfs_e[in_allowed]
+            if allowed is not None:
+                ok = sorted_member_mask(allowed, docs_e)
+                docs_e, tfs_e = docs_e[ok], tfs_e[ok]
             if len(docs_e) == 0:
                 continue
             if len(cand):
@@ -1336,26 +1299,6 @@ class SegmentSearcher:
         if idx >= len(docs) or docs[idx] != doc_id:
             return []
         return pos[idx]
-
-    # -------------------------------------------------------- batch mode
-    def search_bm25_batch(
-        self,
-        nodes: list,
-        k: int,
-        idfs: dict[str, float],
-        avgdl: float,
-    ) -> pa.Table:
-        """Score a BATCH of queries in one call (one task round-trip per
-        segment per batch, not per query) — the scatter-gather analogue
-        of the reference's per-locale query loop amortized over many
-        queries (AL/AR benchmark lines, chearch.chpl:23-91)."""
-        tables = []
-        for qid, node in enumerate(nodes):
-            t = self.search_bm25(node, k, idfs, avgdl)
-            tables.append(
-                t.append_column("query_id", pa.array([qid] * len(t), type=pa.int64()))
-            )
-        return pa.concat_tables(tables)
 
     def term_positions(self, term: str) -> list | None:
         """all position lists of a term (aligned with its posting
@@ -1845,31 +1788,27 @@ class SegmentSearcher:
             return _EMPTY_I64
         return np.unique(hitrows)
 
-    def first_positions_array(self, term: str, doc_id: int):
-        """sorted position array of `term` in `doc_id`, or None when
-        positions are unavailable / doc doesn't contain the term."""
-        docs, _ = self.postings(term)
-        i = int(np.searchsorted(docs, np.uint64(doc_id)))
-        if i >= len(docs) or docs[i] != np.uint64(doc_id):
-            return None
-        all_pos = self.term_positions(term)
-        if not all_pos:
-            return None
-        pos = all_pos[i]
-        if not pos:
-            return None
-        return np.asarray(pos, dtype=np.uint64)
-
 
 class SearcherGroup:
     """N doc-segments resident in ONE actor (VERDICT r01 item 8): at
     10^12 docs the 2^24-doc segment cap implies ~6e4 segments
     (config.py scale note) — one actor per segment would mean 6e4
-    actors.  A group holds several SegmentSearchers and serves the
-    same method surface; QueryEngine fans out to groups instead of
-    segments, so actor count is bounded by `max_actors` regardless of
-    num_segments.  An actorless engine holds one in-process group over
-    every segment, so both modes share this merge.
+    actors.  A group holds several SegmentSearchers; QueryEngine fans
+    out to groups instead of segments, so actor count is bounded by
+    `max_actors` regardless of num_segments.  An actorless engine holds
+    one in-process group over every segment, so both modes share this
+    merge.
+
+    The call surface is generic — the members' operator is named by
+    string, like the reference's one `query` entry per segment
+    (search.chpl:40-60) under one scatter-gather merge point
+    (searchindex.chpl:109-112):
+
+    * `topk(name, k, …)`: a top-k operator, merged here (`topk_many`
+      runs a batch of them in one call);
+    * `concat(name, …)`: the members' tables concatenated (boolean,
+      explain, facets);
+    * `count`, `first_position`, `node_id`.
 
     Top-k operators are late-materialized: members hand their winners
     up as numpy hits (`_project(with_meta=None)`), the group merges
@@ -1923,10 +1862,11 @@ class SearcherGroup:
         return ray.get_runtime_context().get_node_id()
 
     # --------------------------------------------------------- top-k
-    def _topk(self, name: str, k: int, with_meta: bool,
-              collapse: str | None = None, **kw) -> pa.Table:
-        """members' numpy hits of operator `name` -> this group's top-k
-        (or top-k collapsed on metadata column `collapse`) as a table."""
+    def topk(self, name: str, k: int, with_meta: bool = True,
+             collapse: str | None = None, **kw) -> pa.Table:
+        """members' numpy hits of SegmentSearcher operator `name`
+        (keyword arguments `kw`) -> this group's top-k (or top-k
+        collapsed on metadata column `collapse`) as a table."""
         lo, hi, rows, scores = [], [], [], []
         for m, off in zip(self.members, self._offsets):
             docs, s = getattr(m, name)(k=k, with_meta=None, **kw)
@@ -1975,89 +1915,27 @@ class SearcherGroup:
             cols.update(zip(meta.column_names, meta.columns))
         return pa.table(cols)
 
-    def search_bm25(self, node, k, idfs, avgdl, after=None,
-                    with_meta=True) -> pa.Table:
-        return self._topk("search_bm25", k, with_meta, node=node, idfs=idfs,
-                          avgdl=avgdl, after=after)
+    def topk_many(self, name: str, k: int, calls: list[dict]) -> list[pa.Table]:
+        """`topk` once per keyword set in `calls`: a batch of queries in
+        one call, one table per query."""
+        return [self.topk(name, k, **kw) for kw in calls]
 
-    def search_bm25_filtered(self, node, k, idfs, avgdl, flt,
-                             with_meta=True) -> pa.Table:
-        return self._topk("search_bm25_filtered", k, with_meta, node=node,
-                          idfs=idfs, avgdl=avgdl, flt=flt)
+    # perfbench calls these two by name on group actors
+    def search_bm25(self, node, k, idfs, avgdl, with_meta=True) -> pa.Table:
+        return self.topk("search_bm25", k, with_meta, node=node, idfs=idfs, avgdl=avgdl)
 
-    def search_msm(self, terms, m, k, idfs, avgdl, with_meta=True,
-                   flt=None) -> pa.Table:
-        return self._topk("search_msm", k, with_meta, terms=terms, m=m,
-                          idfs=idfs, avgdl=avgdl, flt=flt)
-
-    def search_dismax(self, terms, tie, k, idfs, avgdl,
-                      with_meta=True, flt=None) -> pa.Table:
-        return self._topk("search_dismax", k, with_meta, terms=terms, tie=tie,
-                          idfs=idfs, avgdl=avgdl, flt=flt)
-
-    def search_span_first(self, term, limit_pos, k, idfs, avgdl,
-                          with_meta=True, flt=None) -> pa.Table:
-        return self._topk("search_span_first", k, with_meta, term=term,
-                          limit_pos=limit_pos, idfs=idfs, avgdl=avgdl, flt=flt)
-
-    def search_collapse(self, node, field, k, idfs, avgdl,
-                        with_meta=True, flt=None) -> pa.Table:
-        """group collapse: members ship their per-segment group bests,
-        deduped here on the group's metadata column (exact — see
-        collapse_order)."""
-        return self._topk("search_collapse", k, with_meta, collapse=field,
-                          node=node, field=field, idfs=idfs, avgdl=avgdl, flt=flt)
-
-    def search_phrase(self, terms, k, idfs, avgdl, with_meta=True) -> pa.Table:
-        return self._topk("search_phrase", k, with_meta, terms=terms, idfs=idfs,
-                          avgdl=avgdl)
-
-    def search_near(self, term_a, term_b, slop, ordered, k, idfs, avgdl,
-                    with_meta=True) -> pa.Table:
-        return self._topk("search_near", k, with_meta, term_a=term_a,
-                          term_b=term_b, slop=slop, ordered=ordered, idfs=idfs,
-                          avgdl=avgdl)
-
-    def search_near_all(self, terms, slop, k, idfs, avgdl,
-                        with_meta=True) -> pa.Table:
-        return self._topk("search_near_all", k, with_meta, terms=terms, slop=slop,
-                          idfs=idfs, avgdl=avgdl)
+    def search_bm25_filtered(self, node, k, idfs, avgdl, flt, with_meta=True) -> pa.Table:
+        return self.topk("search_bm25", k, with_meta, node=node, idfs=idfs, avgdl=avgdl,
+                         flt=flt)
 
     # ------------------------------------------------ concatenating
-    def search_boolean(self, node, limit=None, with_meta=True) -> pa.Table:
-        return pa.concat_tables(
-            [m.search_boolean(node, limit, with_meta) for m in self.members]
-        )
-
-    def search_boolean_filtered(self, node, flt, limit=None,
-                                with_meta=True) -> pa.Table:
-        return pa.concat_tables(
-            [m.search_boolean_filtered(node, flt, limit, with_meta)
-             for m in self.members]
-        )
-
-    def search_bm25_batch(self, nodes, k, idfs, avgdl) -> pa.Table:
-        return pa.concat_tables(
-            [m.search_bm25_batch(nodes, k, idfs, avgdl) for m in self.members]
-        )
+    def concat(self, name: str, *args, **kw) -> pa.Table:
+        """SegmentSearcher operator `name` on every member, tables
+        concatenated in member order."""
+        return pa.concat_tables([getattr(m, name)(*args, **kw) for m in self.members])
 
     def count(self, node, flt=None) -> int:
         return sum(mem.count(node, flt=flt) for mem in self.members)
-
-    def explain_rows(self, terms, doc_lo, doc_hi=None) -> pa.Table:
-        return pa.concat_tables(
-            [m.explain_rows(terms, doc_lo, doc_hi) for m in self.members]
-        )
-
-    def facet_histogram(self, node, bucket_width) -> pa.Table:
-        return pa.concat_tables(
-            [m.facet_histogram(node, bucket_width) for m in self.members]
-        )
-
-    def facet_stats(self, node, by, flt=None) -> pa.Table:
-        return pa.concat_tables(
-            [m.facet_stats(node, by, flt=flt) for m in self.members]
-        )
 
     def first_position(self, term: str, doc_id: int, doc_hi: int | None = None):
         seg = int(doc_id) % self.cfg.num_segments

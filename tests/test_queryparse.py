@@ -556,6 +556,14 @@ def test_rejected_expansion_not_cached(eng):
     with pytest.raises(ValueError, match="cap"):
         eng.expand_wildcard("d", "f", max_expansions=0)
     assert ("d", "f") not in eng._wildcard_cache
+    eng._fuzzy_cache.clear()
+    with pytest.raises(ValueError, match="cap"):
+        eng.expand_fuzzy("return", 2, max_expansions=0)
+    assert ("return", 2) not in eng._fuzzy_cache
+    eng._regexp_cache.clear()
+    with pytest.raises(ValueError, match="cap"):
+        eng.expand_regexp("ret[a-z]*", max_expansions=0)
+    assert "ret[a-z]*" not in eng._regexp_cache
 
 
 def test_cli_explain_flag(eng):

@@ -198,3 +198,55 @@ def test_no_pandas_roundtrip_in_library_code():
         "pandas round-trip in a library pipeline module — use pure "
         f"Arrow (pc.if_else/fill_null + cast): {offenders}"
     )
+
+
+STATE_DIR = os.path.join(os.path.dirname(__file__), "..", "chearch_ray", "state")
+#: SearcherGroup methods whose first argument names a SegmentSearcher method
+GROUP_DISPATCH = ("topk", "topk_many", "concat")
+
+
+def _class_methods(path: str, cls: str) -> set[str]:
+    for node in ast.parse(open(path).read()).body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            return {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+    raise AssertionError(f"class {cls} not found in {path}")
+
+
+def _dispatch_names(path: str) -> list[tuple[str, str, int]]:
+    """(kind, method name, line) for every string literal the module
+    passes as a method name: kind "group" for the first argument of
+    `_scatter`; kind "segment" for the first argument of `_topk` and of
+    the GROUP_DISPATCH calls, and for the second argument of a
+    `_scatter` that dispatches through one of those."""
+    out = []
+    for node in ast.walk(ast.parse(open(path).read())):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        lits = [a.value if isinstance(a, ast.Constant) and isinstance(a.value, str) else None
+                for a in node.args[:2]]
+        if not lits or lits[0] is None:
+            continue
+        if node.func.attr == "_scatter":
+            out.append(("group", lits[0], node.lineno))
+            if lits[0] in GROUP_DISPATCH and len(lits) > 1 and lits[1] is not None:
+                out.append(("segment", lits[1], node.lineno))
+        elif node.func.attr in ("_topk", *GROUP_DISPATCH):
+            out.append(("segment", lits[0], node.lineno))
+    return out
+
+
+def test_engine_dispatch_strings_name_real_methods():
+    """String dispatch turns a misspelled method name into a raw
+    AttributeError inside an actor, at query time.  Every literal
+    state/engine.py passes to `_scatter` must name a SearcherGroup
+    method, and every literal it passes to `_topk`, `topk`,
+    `topk_many` or `concat` (directly or through `_scatter`) must name
+    a SegmentSearcher method."""
+    searcher = os.path.join(STATE_DIR, "searcher.py")
+    methods = {"group": _class_methods(searcher, "SearcherGroup"),
+               "segment": _class_methods(searcher, "SegmentSearcher")}
+    sites = _dispatch_names(os.path.join(STATE_DIR, "engine.py"))
+    assert {kind for kind, _, _ in sites} == {"group", "segment"}, (
+        f"expected both dispatch kinds (AST walk broken?): {sites}")
+    bad = [s for s in sites if s[1] not in methods[s[0]]]
+    assert not bad, f"engine.py dispatches to methods that do not exist: {bad}"

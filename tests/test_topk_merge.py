@@ -205,6 +205,38 @@ def test_every_topk_operator_matches_per_segment_merge(indexes, mode):
             engines[name].close()
 
 
+@pytest.mark.parametrize("mode", ["64", "128", "collide"])
+def test_search_many_equals_per_query_search(indexes, mode):
+    """search_many is each query's `search` result plus a query_id
+    column, in query order, on every engine: a zero-hit query adds no
+    rows, and the empty batch is the typed table of a zero-hit batch."""
+    local = QueryEngine(indexes[mode], use_actors=False)
+    engines = {"local": local,
+               "one_group": QueryEngine(indexes[mode], use_actors=True, max_actors=1),
+               "actors": QueryEngine(indexes[mode], use_actors=True)}
+    hot, _ = _terms(local)
+    queries = [_or(hot[:2]), MISSING, hot[2], f"{hot[0]} {hot[1]}",
+               ast.And(ast.Term(hot[0]), ast.Term(hot[1]))]
+    singles = [local.search(q, k=K) for q in queries]
+    assert [len(t) > 0 for t in singles] == [True, False, True, True, True]
+    want = pa.concat_tables([
+        t.append_column("query_id", pa.array([i] * len(t), type=pa.int64()))
+        for i, t in enumerate(singles)])
+    ids = ["doc_id"] if mode == "64" else ["doc_id_hi", "doc_id"]
+    try:
+        for name, eng in engines.items():
+            assert eng.search_many(queries, k=K).equals(want), (mode, name)
+            zero = eng.search_many([MISSING], k=K)
+            assert len(zero) == 0 and zero.schema == want.schema, (mode, name)
+            empty = eng.search_many([], k=K)
+            assert empty.equals(zero), (mode, name)
+            assert empty.column_names == [*ids, "score", "repo", "path", "commit", "lang",
+                                          "query_id"]
+    finally:
+        for name in ("one_group", "actors"):
+            engines[name].close()
+
+
 def test_wide_colliding_low_words_tie_break_on_full_key(indexes):
     """the twelve tied docs live in three segments: every engine
     orders them by (hi, lo), not by the low word."""
