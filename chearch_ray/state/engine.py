@@ -243,7 +243,7 @@ class QueryEngine:
                 cls.remote(index_dir, segs, self.cfg) for segs in self.actor_segments
             ]
         else:
-            # per-segment searchers stay addressable (serve.py, tests);
+            # per-segment searchers stay addressable (tests);
             # queries go through one in-process group wrapping them
             self._group = SearcherGroup(index_dir, self.segments, self.cfg)
             self._local = self._group.members
