@@ -76,6 +76,11 @@ def varint_byte_lengths(values: np.ndarray) -> np.ndarray:
     return lengths
 
 
+def _as_u8(buf: bytes | np.ndarray) -> np.ndarray:
+    """a uint8 array as is; bytes wrapped without a copy"""
+    return buf if isinstance(buf, np.ndarray) else np.frombuffer(buf, dtype=np.uint8)
+
+
 def varint_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarray:
     """LEB128 varint stream -> uint64 array: the first `count` values,
     or every value when `count` is None.
@@ -90,7 +95,7 @@ def varint_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarr
 
     Raises ValueError when the stream ends before `count` values (or,
     with count=None, ends inside a value)."""
-    b = buf if isinstance(buf, np.ndarray) else np.frombuffer(buf, dtype=np.uint8)
+    b = _as_u8(buf)
     n = len(b) if count is None else count
     if n == len(b) and (n == 0 or b.max() < 0x80):
         return b.astype(np.uint64)
@@ -123,9 +128,13 @@ def varint_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarr
 
 @dataclass
 class EncodedPostings:
+    """One term's encoded postings.  The blobs are `bytes` from the
+    encoders and read-only uint8 views into a part's flat buffers from
+    `PostingsPartReader`; every decoder takes either."""
+
     count: int
-    doc_blob: bytes
-    tf_blob: bytes
+    doc_blob: bytes | np.ndarray  # varint doc-id deltas (uint8 if an array)
+    tf_blob: bytes | np.ndarray  # varint tfs
     block_last: np.ndarray  # uint64, one per block
     block_max_tf: np.ndarray  # uint32
     block_doc_off: np.ndarray  # int64 byte offset of block start in doc_blob
@@ -270,8 +279,8 @@ def decode_block(
     doc_end = int(enc.block_doc_off[block + 1]) if block + 1 < n_blocks else len(enc.doc_blob)
     tf_start = int(enc.block_tf_off[block])
     tf_end = int(enc.block_tf_off[block + 1]) if block + 1 < n_blocks else len(enc.tf_blob)
-    deltas = varint_decode(np.frombuffer(enc.doc_blob, np.uint8)[doc_start:doc_end], count)
-    tfs = varint_decode(np.frombuffer(enc.tf_blob, np.uint8)[tf_start:tf_end], count)
+    deltas = varint_decode(enc.doc_blob[doc_start:doc_end], count)
+    tfs = varint_decode(enc.tf_blob[tf_start:tf_end], count)
     base = enc.block_last[block - 1] if block > 0 else np.uint64(0)
     doc_ids = base + np.cumsum(deltas, dtype=np.uint64)
     return doc_ids, tfs
@@ -299,8 +308,8 @@ def decode_blocks(
     total = int(counts.sum())
     bases = np.where(blocks > 0, enc.block_last[np.maximum(blocks - 1, 0)], np.uint64(0))
 
-    doc_buf = np.frombuffer(enc.doc_blob, dtype=np.uint8)
-    tf_buf = np.frombuffer(enc.tf_blob, dtype=np.uint8)
+    doc_buf = _as_u8(enc.doc_blob)
+    tf_buf = _as_u8(enc.tf_blob)
 
     def _ends(offs: np.ndarray, blob_len: int) -> np.ndarray:
         nxt = blocks + 1

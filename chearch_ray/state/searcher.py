@@ -49,6 +49,9 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 # intersection path runs instead.  256 MB covers a whole 2^24-doc
 # segment of short docs or ~10^5 long-doc candidates.
 _PHRASE_FLAG_BUDGET_BYTES = 256 << 20
+#: metadata-filter predicates cached per segment; an entry can hold one
+#: uint64 per segment doc (128 MiB at the 2^24-doc segment cap)
+_FILTER_CACHE_MAX = 64
 
 RESULT_META_COLUMNS = ("repo", "path", "commit", "lang")
 
@@ -682,6 +685,8 @@ class SegmentSearcher:
             allowed = np.flatnonzero(mask).astype(np.uint64)
         else:
             allowed = self.docmap.doc_ids[mask].astype(np.uint64)
+        if len(self._filter_cache) >= _FILTER_CACHE_MAX:
+            self._filter_cache.clear()
         self._filter_cache[key] = allowed
         return allowed
 

@@ -210,10 +210,55 @@ def docmap_rel_path(seg: int) -> str:
     return os.path.join("docmap", f"seg-{seg:05d}.parquet")
 
 
+def _flat_column(col: "pa.ChunkedArray") -> tuple[np.ndarray, np.ndarray]:
+    """(flat values, row offsets) of a binary or list column: row i is
+    values[offsets[i]:offsets[i + 1]] (uint8 bytes for binary).  One
+    chunk gives zero-copy views of the Arrow buffers; several chunks (a
+    part written in several row groups) are combined once, with int64
+    offsets, so the combined values may pass 2 GiB.  The views are
+    read-only."""
+    parts = []
+    for c in col.chunks:
+        if len(c) == 0:
+            continue
+        if pa.types.is_binary(c.type):
+            offs = np.frombuffer(c.buffers()[1], dtype=np.int32)[c.offset : c.offset + len(c) + 1]
+            data = c.buffers()[2]
+            vals = np.empty(0, np.uint8) if data is None else np.frombuffer(data, dtype=np.uint8)
+        else:
+            offs = c.offsets.to_numpy()
+            vals = c.values.to_numpy()
+        parts.append((vals, offs))
+    if not parts:
+        dtype = np.uint8 if pa.types.is_binary(col.type) else col.type.value_type.to_pandas_dtype()
+        vals, offs = np.empty(0, dtype), np.zeros(1, np.int64)
+    elif len(parts) == 1:
+        vals, offs = parts[0]
+    else:
+        vals = np.concatenate([v[o[0] : o[-1]] for v, o in parts])
+        base = np.cumsum([0] + [int(o[-1] - o[0]) for _, o in parts])
+        offs = np.concatenate(
+            [np.zeros(1, np.int64)]
+            + [o[1:].astype(np.int64) - o[0] + b for (_, o), b in zip(parts, base)])
+    vals.flags.writeable = False
+    return vals, offs
+
+
+def _row(col: tuple[np.ndarray, np.ndarray], i: int) -> np.ndarray:
+    """row i of a `_flat_column` pair, as a view"""
+    vals, offs = col
+    return vals[offs[i] : offs[i + 1]]
+
+
 class PostingsPartReader:
     """Loads one postings partition file into memory once (actor-side;
     reference analogue: the locale-resident term hash table,
-    searchindex.chpl:25-53) and serves per-term EncodedPostings."""
+    searchindex.chpl:25-53) and serves per-term EncodedPostings.
+
+    Every per-term column is held as one flat numpy buffer plus row
+    offsets (`_flat_column`, the reference's flat pools addressed by
+    pool index, memorysegment.chpl:86-122): serving a term is a few
+    slices, with no Arrow scalar built on any query path."""
 
     def __init__(self, path: str, cfg: EngineConfig):
         table = pq.read_table(path)
@@ -226,16 +271,17 @@ class PostingsPartReader:
         self._max_pos = cfg.max_positions_per_doc
         self._terms = {t: i for i, t in enumerate(table["term"].to_pylist())}
         self._count = table["count"].to_numpy()
-        self._doc_blob = table["doc_blob"]
-        self._tf_blob = table["tf_blob"]
-        self._block_last = table["block_last"]
-        self._block_max_tf = table["block_max_tf"]
-        self._block_doc_off = table["block_doc_off"]
-        self._block_tf_off = table["block_tf_off"]
+        self._doc_blob = _flat_column(table["doc_blob"])
+        self._tf_blob = _flat_column(table["tf_blob"])
+        self._block_last = _flat_column(table["block_last"])
+        self._block_max_tf = _flat_column(table["block_max_tf"])
+        self._block_doc_off = _flat_column(table["block_doc_off"])
+        self._block_tf_off = _flat_column(table["block_tf_off"])
         #: packed positions: per-term pos_blob + per-block pos_off
         #: (absent when the index stores no positions)
-        self._pos_blob = table["pos_blob"] if "pos_blob" in table.column_names else None
-        self._pos_off = table["pos_off"] if "pos_off" in table.column_names else None
+        has_pos = "pos_blob" in table.column_names
+        self._pos_blob = _flat_column(table["pos_blob"]) if has_pos else None
+        self._pos_off = _flat_column(table["pos_off"]) if has_pos else None
         self._pos_decoded: dict[str, "pa.ListArray"] = {}
         #: per-(term, skip-block) decoded positions: (flat uint32 vals,
         #: block-local int64 offsets).  The lazy per-block path is hit
@@ -271,21 +317,22 @@ class PostingsPartReader:
         i = self._terms.get(term)
         if i is None:
             return 0
-        blocks = self._block_max_tf[i].values
-        return int(pa.compute.max(blocks).as_py()) if len(blocks) else 0
+        blocks = _row(self._block_max_tf, i)
+        return int(blocks.max()) if len(blocks) else 0
 
     def encoded(self, term: str) -> EncodedPostings | None:
+        """the term's postings as views into the part's flat buffers"""
         i = self._terms.get(term)
         if i is None:
             return None
         return EncodedPostings(
             count=int(self._count[i]),
-            doc_blob=self._doc_blob[i].as_py(),
-            tf_blob=self._tf_blob[i].as_py(),
-            block_last=np.asarray(self._block_last[i].values, dtype=np.uint64),
-            block_max_tf=np.asarray(self._block_max_tf[i].values, dtype=np.uint32),
-            block_doc_off=np.asarray(self._block_doc_off[i].values, dtype=np.int64),
-            block_tf_off=np.asarray(self._block_tf_off[i].values, dtype=np.int64),
+            doc_blob=_row(self._doc_blob, i),
+            tf_blob=_row(self._tf_blob, i),
+            block_last=_row(self._block_last, i),
+            block_max_tf=_row(self._block_max_tf, i),
+            block_doc_off=_row(self._block_doc_off, i),
+            block_tf_off=_row(self._block_tf_off, i),
         )
 
     def _pos_counts(self, term: str) -> np.ndarray:
@@ -318,9 +365,8 @@ class PostingsPartReader:
             return hit
         from chearch_ray.functions.codec import unpack_position_blob
 
-        blob = self._pos_blob[i].as_py()
         counts = self._pos_counts(term)
-        flat, offsets = unpack_position_blob(blob, counts)
+        flat, offsets = unpack_position_blob(_row(self._pos_blob, i), counts)
         out = pa.ListArray.from_arrays(
             pa.array(offsets.astype(np.int32), type=pa.int32()),
             pa.array(flat.astype(np.uint32), type=pa.uint32()),
@@ -439,8 +485,8 @@ class PostingsPartReader:
         cache = self._pos_blk_cache.setdefault(term, {})
         miss = [b for b in blocks.tolist() if b not in cache]
         if miss:
-            pos_off = np.asarray(self._pos_off[i].values, dtype=np.int64)
-            blob = np.frombuffer(self._pos_blob[i].as_py(), dtype=np.uint8)
+            pos_off = _row(self._pos_off, i)
+            blob = _row(self._pos_blob, i)
             mb = np.array(miss, dtype=np.int64)
             # delta encoding restarts at every posting, so the missing
             # blocks' byte slices CONCATENATE into one valid stream —
@@ -507,7 +553,7 @@ class PostingsPartReader:
         parts: list[pa.Array] = []
         for term in self._terms:
             i = self._terms[term]
-            blob = np.frombuffer(self._pos_blob[i].as_py(), dtype=np.uint8)
+            blob = _row(self._pos_blob, i)
             counts = self._pos_counts(term)
             # per-posting byte boundaries: varint value ends, taken
             # at each posting's cumulative occurrence count
@@ -526,7 +572,7 @@ class PostingsPartReader:
                     pa.binary(),
                     len(counts),
                     [None, pa.py_buffer(byte_off.astype(np.int32).tobytes()),
-                     pa.py_buffer(blob.tobytes())],
+                     pa.py_buffer(blob)],
                 )
             )
         if not parts:
@@ -567,14 +613,16 @@ class DocmapReader:
             if len(ids) and (ids.max(initial=-1) >= len(self.doc_ids) or ids.min(initial=0) < 0):
                 raise ValueError("posting ordinal out of docmap range")
             return ids
-        idx = np.searchsorted(self.doc_ids, doc_ids)
-        idx_c = np.minimum(idx, len(self.doc_ids) - 1) if len(self.doc_ids) else idx
-        if len(self.doc_ids) == 0 or not np.array_equal(self.doc_ids[idx_c], doc_ids):
-            missing = doc_ids if len(self.doc_ids) == 0 else doc_ids[self.doc_ids[idx_c] != doc_ids]
-            raise ValueError(
-                f"doc ids missing from docmap (postings/docmap divergence): {missing[:5]}"
-            )
-        return idx_c
+        if len(self.doc_ids):
+            idx = np.searchsorted(self.doc_ids, doc_ids)
+            np.minimum(idx, len(self.doc_ids) - 1, out=idx)
+            hit = self.doc_ids[idx] == doc_ids
+            if hit.all():
+                return idx
+            doc_ids = doc_ids[~hit]
+        raise ValueError(
+            f"doc ids missing from docmap (postings/docmap divergence): {doc_ids[:5]}"
+        )
 
     # -------------------------------------------------- wide-id helpers
     def external_ids(self, ordinals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

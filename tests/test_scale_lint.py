@@ -250,3 +250,67 @@ def test_engine_dispatch_strings_name_real_methods():
         f"expected both dispatch kinds (AST walk broken?): {sites}")
     bad = [s for s in sites if s[1] not in methods[s[0]]]
     assert not bad, f"engine.py dispatches to methods that do not exist: {bad}"
+
+
+def _arrow_boxing_sites(source: str) -> list[tuple[str, str, int]]:
+    """(method, what, line) for every `.as_py()` call and every use of
+    pyarrow.compute inside a PostingsPartReader method other than
+    `__init__`.  pyarrow.compute counts as an import of it, an alias
+    bound to it at module level, or `<pyarrow alias>.compute`."""
+    tree = ast.parse(source)
+    pa_names, pc_names = {"pyarrow"}, set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name == "pyarrow":
+                    pa_names.add(a.asname or a.name)
+                elif a.name == "pyarrow.compute" and a.asname:
+                    pc_names.add(a.asname)
+        elif isinstance(node, ast.ImportFrom) and node.module == "pyarrow":
+            pc_names.update(a.asname or a.name for a in node.names if a.name == "compute")
+    cls = next(n for n in tree.body
+               if isinstance(n, ast.ClassDef) and n.name == "PostingsPartReader")
+    sites = []
+    for fn in cls.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "__init__":
+            continue
+        for node in ast.walk(fn):
+            what = None
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "as_py"):
+                what = ".as_py()"
+            elif (isinstance(node, ast.Attribute) and node.attr == "compute"
+                  and isinstance(node.value, ast.Name) and node.value.id in pa_names):
+                what = "pyarrow.compute"
+            elif isinstance(node, ast.Name) and node.id in pc_names:
+                what = "pyarrow.compute"
+            elif isinstance(node, ast.Import) and any(
+                    a.name.startswith("pyarrow.compute") for a in node.names):
+                what = "import pyarrow.compute"
+            elif isinstance(node, ast.ImportFrom) and (
+                    (node.module or "").startswith("pyarrow.compute")
+                    or (node.module == "pyarrow"
+                        and any(a.name == "compute" for a in node.names))):
+                what = "import pyarrow.compute"
+            if what:
+                sites.append((fn.name, what, node.lineno))
+    return sites
+
+
+def test_postings_reader_serves_terms_without_arrow_scalars():
+    """PostingsPartReader holds its columns as flat numpy buffers built
+    in `__init__`; a per-term method that boxes Arrow scalars
+    (`.as_py()`) or calls pyarrow.compute puts that cost back on every
+    cold term of every query."""
+    sites = _arrow_boxing_sites(open(os.path.join(STATE_DIR, "segment.py")).read())
+    assert not sites, f"PostingsPartReader methods box Arrow values: {sites}"
+    # the walk sees each form it forbids
+    probe = ("import pyarrow as pa\nimport pyarrow.compute as pc\n"
+             "class PostingsPartReader:\n"
+             "    def __init__(self):\n        self.x = pc.max(1).as_py()\n"
+             "    def a(self, b):\n        return pa.compute.max(b).as_py()\n"
+             "    def b(self, c):\n        return pc.sum(c)\n"
+             "    def c(self):\n        import pyarrow.compute\n")
+    assert {(m, w) for m, w, _ in _arrow_boxing_sites(probe)} == {
+        ("a", ".as_py()"), ("a", "pyarrow.compute"), ("b", "pyarrow.compute"),
+        ("c", "import pyarrow.compute")}
