@@ -269,7 +269,9 @@ class PostingsPartReader:
             )
         self.block_size = cfg.block_size
         self._max_pos = cfg.max_positions_per_doc
-        self._terms = {t: i for i, t in enumerate(table["term"].to_pylist())}
+        # via numpy: to_pylist boxes one Arrow scalar per term
+        terms = table["term"].to_numpy(zero_copy_only=False).tolist()
+        self._terms = dict(zip(terms, range(len(terms))))
         self._count = table["count"].to_numpy()
         self._doc_blob = _flat_column(table["doc_blob"])
         self._tf_blob = _flat_column(table["tf_blob"])
