@@ -219,8 +219,6 @@ def _flat_column(col: "pa.ChunkedArray") -> tuple[np.ndarray, np.ndarray]:
     read-only."""
     parts = []
     for c in col.chunks:
-        if len(c) == 0:
-            continue
         if pa.types.is_binary(c.type):
             offs = np.frombuffer(c.buffers()[1], dtype=np.int32)[c.offset : c.offset + len(c) + 1]
             data = c.buffers()[2]
@@ -229,10 +227,7 @@ def _flat_column(col: "pa.ChunkedArray") -> tuple[np.ndarray, np.ndarray]:
             offs = c.offsets.to_numpy()
             vals = c.values.to_numpy()
         parts.append((vals, offs))
-    if not parts:
-        dtype = np.uint8 if pa.types.is_binary(col.type) else col.type.value_type.to_pandas_dtype()
-        vals, offs = np.empty(0, dtype), np.zeros(1, np.int64)
-    elif len(parts) == 1:
+    if len(parts) == 1:
         vals, offs = parts[0]
     else:
         vals = np.concatenate([v[o[0] : o[-1]] for v, o in parts])
