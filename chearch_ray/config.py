@@ -59,16 +59,13 @@ class EngineConfig:
     #: cap on positions stored per (term, doc) pair; 0 = unlimited.
     max_positions_per_doc: int = 0
 
-    #: external doc-id width: 64 (default — uint64 hash ids ARE the
-    #: posting-list values) or 128 (two-column (hi, lo) external ids;
-    #: posting lists then store dense SEGMENT-LOCAL ORDINALS and the
-    #: docmap, sorted by (hi, lo), maps ordinal -> external id — the
-    #: reference's own internal-docIndex / externalDocId split,
-    #: documentid.chpl:17-24).  128-bit mode kills the ~3e4 birthday
-    #: collisions a 64-bit space expects at 10^12 docs (ROADMAP #6)
-    #: and makes posting deltas dense (smaller blobs).  Requires
-    #: build_salt=1 (docmap ordinals are assigned before postings
-    #: finalize).
+    #: external doc-id width: 64 (default, uint64 hash ids) or 128
+    #: (two-column (hi, lo) external ids).  Either way posting lists
+    #: store dense SEGMENT-LOCAL ORDINALS and the docmap, sorted by
+    #: external id, maps ordinal -> external id — the reference's own
+    #: internal-docIndex / externalDocId split, documentid.chpl:17-24.
+    #: 128-bit mode kills the ~3e4 birthday collisions a 64-bit space
+    #: expects at 10^12 docs (ROADMAP #6).  It requires build_salt=1.
     doc_id_bits: int = 64
 
     # ---- posting codec ------------------------------------------------

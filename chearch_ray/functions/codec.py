@@ -9,7 +9,8 @@ normalize; the conformance layer reverses where reference order
 matters).
 
 Layout per term:
-  doc_blob  — varint stream of doc-id deltas.  Delta base restarts at
+  doc_blob  — varint stream of doc-id deltas (doc ids = docmap row
+              ordinals of the segment).  Delta base restarts at
               each block boundary against the PREVIOUS block's last doc
               id, so any block can be decoded independently given the
               block_last array (the skip index).
@@ -27,10 +28,10 @@ the hot path).  Varint decode is also loop-free over byte width: value
 ends, per-byte shifts and one `bitwise_or.reduceat` assemble every value
 in a fixed number of numpy calls, and a buffer of single-byte values
 only (tf blobs, most position blobs) is returned as the bytes
-themselves.  Doc-id deltas of 64-bit hashed ids take 8-10 bytes,
-and a query decodes many short blocks, so a per-call cost that does not
-grow with width is what makes posting, skip-block and position decode
-cheap (the SIMD-style varint decoders of Lemire & Boytsov remove
+themselves.  Doc ids here are segment-local docmap ordinals, so most
+deltas take one or two bytes, and a query decodes many short blocks: a
+per-call cost that does not grow with width is what makes posting,
+skip-block and position decode cheap (the SIMD-style varint decoders of Lemire & Boytsov remove
 per-byte branching the same way).  A stream that ends inside a value or
 before the requested count raises ValueError.
 """

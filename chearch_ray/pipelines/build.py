@@ -61,7 +61,7 @@ def build_index(
     if cfg.doc_id_bits == 128 and cfg.build_salt > 1:
         raise ValueError(
             "doc_id_bits=128 requires build_salt=1 "
-            "(docmap ordinals are assigned before postings finalize)"
+            "(the salted build route is 64-bit only)"
         )
     if resume and seg_io.manifest_exists(index_dir):
         return Manifest.load(index_dir)
@@ -152,7 +152,8 @@ def _partitioned_shuffle(unified, index_dir: str, cfg: EngineConfig, done: froze
         # ~20% wall time when runs live on tmpfs (bytes free, CPU not);
         # on a real cluster with runs on shared storage the byte cut
         # wins, so pick per deployment.  parquet DELTA_BINARY_PACKED
-        # measured WORSE: hashed doc ids keep full entropy, delta or not.
+        # measured WORSE: the runs carry hashed external doc ids (they
+        # become ordinals only at finalize), full entropy, delta or not.
         comp = cfg.run_compression
         kwargs = {"compression_level": 1} if comp == "zstd" else {}
         # salted partitioned composition (ROADMAP #7): with
@@ -175,20 +176,24 @@ def _partitioned_shuffle(unified, index_dir: str, cfg: EngineConfig, done: froze
     else:
         _check_resumed_runs(run_dir)
 
-    part_dirs = sorted(glob.glob(os.path.join(run_dir, "part=*")))
     items = []
-    for d in part_dirs:
+    for d in glob.glob(os.path.join(run_dir, "part=*")):
         part = int(os.path.basename(d).split("=")[1])
         if part not in done:
             items.append({"part": part, "dir": d})
+    # the small docmap partitions first, so a build killed mid-wave
+    # has usually committed them
+    n_posting_parts = cfg.num_segments * cfg.num_term_shards
+    items.sort(key=lambda it: (it["part"] < n_posting_parts, it["part"]))
 
-    def _run_wave(wave_items: list[dict]) -> None:
-        if not wave_items:
-            return
+    if items:
         # one block per partition so each finalize runs as its own
-        # task (from_items packs everything into one block otherwise)
+        # task (from_items packs everything into one block otherwise).
+        # Postings and docmap partitions finalize in the same wave: a
+        # postings task reads its segment's doc ids from the docmap
+        # partition's runs to map them to ordinals
         finalize_ds = ray.data.from_items(
-            wave_items, override_num_blocks=len(wave_items)
+            items, override_num_blocks=len(items)
         ).map_batches(
             partial(_finalize_from_runs, cfg=cfg, index_dir=index_dir),
             batch_format="pyarrow",
@@ -198,17 +203,6 @@ def _partitioned_shuffle(unified, index_dir: str, cfg: EngineConfig, done: froze
         finalize_ds.take_all()
         if os.environ.get("CHEARCH_RAY_BUILD_STATS"):
             print(finalize_ds.stats())
-
-    if cfg.doc_id_bits == 128:
-        # wide-id builds finalize the DOCMAPS first: posting finalize
-        # maps (hi, lo) external ids to segment-local ordinals via the
-        # committed docmap (reference internal-docIndex/externalDocId
-        # split, documentid.chpl:17-24)
-        n_posting_parts = cfg.num_segments * cfg.num_term_shards
-        _run_wave([it for it in items if it["part"] >= n_posting_parts])
-        _run_wave([it for it in items if it["part"] < n_posting_parts])
-    else:
-        _run_wave(items)
     if not os.environ.get("CHEARCH_RAY_KEEP_RUNS"):  # debugging / byte audits
         shutil.rmtree(run_dir, ignore_errors=True)
 
@@ -309,22 +303,31 @@ def commit_manifest(index_dir: str, cfg: EngineConfig) -> Manifest:
     files (resume-safe: inputs are the files themselves), then publish
     the manifest."""
     postings_parts, docmap_parts = [], []
-    for part in sorted(seg_io.completed_parts(index_dir, "postings")):
-        rec = LineageRecord.load(index_dir, "postings", part)
-        postings_parts.append(
+    docmap_fp = {}
+    for seg in sorted(seg_io.completed_parts(index_dir, "docmap")):
+        rec = LineageRecord.load(index_dir, "docmap", seg)
+        docmap_fp[seg] = rec.input_fingerprint
+        docmap_parts.append(
             {
-                "part": part,
+                "part": seg,
                 "path": rec.path,
                 "rows": rec.rows,
                 "n_postings": rec.n_postings,
                 "sha": rec.content_sha,
             }
         )
-    for seg in sorted(seg_io.completed_parts(index_dir, "docmap")):
-        rec = LineageRecord.load(index_dir, "docmap", seg)
-        docmap_parts.append(
+    for part in sorted(seg_io.completed_parts(index_dir, "postings")):
+        rec = LineageRecord.load(index_dir, "postings", part)
+        # ordinals depend on the segment's doc set: a part kept by
+        # resume must have been mapped against the docmap committed now
+        if rec.docmap_fingerprint != docmap_fp.get(part // cfg.num_term_shards):
+            raise ValueError(
+                f"postings/docmap divergence in part {part}: its ordinals were "
+                "mapped against another docmap; rebuild the index"
+            )
+        postings_parts.append(
             {
-                "part": seg,
+                "part": part,
                 "path": rec.path,
                 "rows": rec.rows,
                 "n_postings": rec.n_postings,

@@ -27,6 +27,7 @@ from chearch_ray.config import EngineConfig
 from chearch_ray.pipelines.build import build_index
 from chearch_ray.sources.corpus import read_documents_corpus
 from chearch_ray.state.engine import QueryEngine
+from chearch_ray.state.segment import MANIFEST_VERSION
 
 
 def _ts_between(column: str, d1: str, d2: str):
@@ -85,7 +86,8 @@ def _index_dir_for(sf_dir: str) -> str:
     # key includes the engine config AND the on-disk format version so
     # cached indexes invalidate when DRIVER_CFG or the segment format
     # changes between rounds (fmt2 = packed positions blobs)
-    key = f"{os.path.abspath(sf_dir)}:{os.path.getsize(doc_path)}:{DRIVER_CFG}:fmt2"
+    key = (f"{os.path.abspath(sf_dir)}:{os.path.getsize(doc_path)}:{DRIVER_CFG}:fmt2"
+           f":v{MANIFEST_VERSION}")
     tag = hashlib.sha256(key.encode()).hexdigest()[:16]
     return os.path.join("/tmp", "chearch_ray_driver_cache", f"idx-{tag}")
 
@@ -447,7 +449,8 @@ def _wide_corpus(sf_dir: str):
 
 def wide_engine_for(sf_dir: str) -> QueryEngine:
     doc_path = os.path.join(sf_dir, "documents.parquet")
-    key = f"{os.path.abspath(sf_dir)}:{os.path.getsize(doc_path)}:{WIDE_CFG}:wide:fmt2"
+    key = (f"{os.path.abspath(sf_dir)}:{os.path.getsize(doc_path)}:{WIDE_CFG}:wide:fmt2"
+           f":v{MANIFEST_VERSION}")
     tag = hashlib.sha256(key.encode()).hexdigest()[:16]
     index_dir = os.path.join("/tmp", "chearch_ray_driver_cache", f"idx-{tag}")
     eng = _cached_engine(index_dir)

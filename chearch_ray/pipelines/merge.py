@@ -6,10 +6,11 @@ docs/TODO.txt:5).  Because doc-segments are keyed by doc_id %
 num_segments and partitions are canonically sorted by (term, doc_id),
 two indexes built with the same structural config have ALIGNED
 partitioning: merging is per-partition — decode each input's postings
-for that partition, concatenate, re-sort, re-encode — with no global
-shuffle.  Output partitions are byte-identical to a from-scratch build
-over the union corpus (pinned by tests), so merged indexes carry the
-same determinism guarantees.
+for that partition back to external ids, concatenate, re-sort, map to
+the merged segment's ordinals, re-encode — with no global shuffle.
+Output partitions are byte-identical to a from-scratch build over the
+union corpus (pinned by tests), so merged indexes carry the same
+determinism guarantees.
 
 This is the batch companion to state/online.OnlineIndexer: flush
 incremental batches to small indexes, then fold them into the main
@@ -42,21 +43,19 @@ _STRUCTURAL = (
     "split_subtokens",
     "store_positions",
     "max_positions_per_doc",
-    # wide vs narrow docmaps have different schemas and posting-value
-    # semantics (ordinals vs external ids) — never mix silently
+    # wide vs narrow docmaps have different schemas and id spaces —
+    # never mix silently
     "doc_id_bits",
 )
 
 
-def _explode_postings_part(path: str, cfg: EngineConfig,
-                           source_docmap: str | None = None) -> pa.Table:
-    """partition file -> flat (term, doc_id, tf, positions) rows.
-    Wide mode: posting values are the SOURCE index's segment-local
-    ordinals — translate them to external (hi, lo) pairs through that
-    index's docmap (`source_docmap`) so inputs merge in a shared id
-    space."""
+def _explode_postings_part(path: str, cfg: EngineConfig, source_docmap: str) -> pa.Table:
+    """partition file -> flat (term, doc_id[, doc_hi], tf, positions)
+    rows.  Posting values are the SOURCE index's segment-local
+    ordinals: they translate to external ids through that index's
+    docmap (`source_docmap`), so inputs merge in a shared id space."""
     from chearch_ray.functions.codec import decode_postings
-    from chearch_ray.state.segment import PostingsPartReader
+    from chearch_ray.state.segment import DocmapReader, PostingsPartReader
 
     reader = PostingsPartReader(path, cfg)
     terms = list(reader.terms)  # file-row order (term-sorted)
@@ -76,18 +75,14 @@ def _explode_postings_part(path: str, cfg: EngineConfig,
     term_col = pa.DictionaryArray.from_arrays(
         pa.array(idx, type=pa.int32()), pa.array(terms, type=pa.string())
     ).cast(pa.string())
+    hi, lo = DocmapReader(source_docmap).external_ids(doc)
     cols = {
         "term": term_col,
-        "doc_id": pa.array(doc, type=pa.uint64()),
+        "doc_id": pa.array(lo, type=pa.uint64()),
         "tf": pa.array(tf.astype(np.uint32), type=pa.uint32()),
     }
-    if cfg.doc_id_bits == 128:
-        from chearch_ray.state.segment import DocmapReader
-
-        dm = DocmapReader(source_docmap)
-        hi, lo = dm.external_ids(doc)
+    if hi is not None:
         cols["doc_hi"] = pa.array(hi, type=pa.uint64())
-        cols["doc_id"] = pa.array(lo, type=pa.uint64())
     pos = reader.positions_packed_column()
     if pos is not None:
         cols["positions"] = pos  # per-posting packed cells, term-major order
@@ -97,17 +92,10 @@ def _explode_postings_part(path: str, cfg: EngineConfig,
 
 
 def _drop_mask(lo: np.ndarray, hi: np.ndarray | None, drop: dict) -> np.ndarray:
-    """keep-mask of rows whose external id is NOT in the drop set.
-    64-bit mode: sorted membership on doc_id; wide mode: on the packed
-    (hi, lo) key."""
-    from chearch_ray.functions.hashing import key16
-
-    if hi is not None:
-        keys = key16(hi.astype(np.uint64), lo.astype(np.uint64))
-        dkeys = np.sort(key16(drop["hi"].astype(np.uint64), drop["lo"].astype(np.uint64)))
-    else:
-        keys = lo.astype(np.uint64)
-        dkeys = np.sort(drop["lo"].astype(np.uint64))
+    """keep-mask of rows whose external id (hi None in 64-bit mode) is
+    NOT in the drop set: sorted membership on `doc_keys`."""
+    keys = seg_io.doc_keys(hi, lo)
+    dkeys = np.sort(seg_io.doc_keys(None if hi is None else drop["hi"], drop["lo"]))
     if len(dkeys) == 0 or len(keys) == 0:
         return np.ones(len(keys), dtype=bool)
     pos = np.searchsorted(dkeys, keys)
@@ -138,71 +126,53 @@ def _merge_one_part(batch: pa.Table, cfg_dict: dict, input_dirs: list[str], out_
         hi_np = t[hi_col].to_numpy() if hi_col else None
         return t.filter(pa.array(_drop_mask(lo_np, hi_np, dset)))
 
+    wide = cfg.doc_id_bits == 128
+
+    def _segment_docs(seg: int, columns: list[str] | None = None):
+        """(docmap rows of doc-segment `seg` across the inputs minus
+        drops, their sorted external keys): the merged segment's doc
+        set, which the docmap task writes and the postings tasks map
+        to ordinals"""
+        tables = []
+        for d, dset in zip(input_dirs, drops):
+            p = os.path.join(d, seg_io.docmap_rel_path(seg))
+            if os.path.exists(p):
+                t = pq.read_table(p, columns=columns)
+                tables.append(_apply_drop(t, dset, "doc_id", "doc_id_hi" if wide else None))
+        cat = pa.concat_tables(tables)
+        hi = cat["doc_id_hi"].to_numpy() if wide else None
+        keys = np.sort(seg_io.doc_keys(hi, cat["doc_id"].to_numpy()))
+        # the merge contract requires disjoint corpora
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError(f"duplicate doc ids across merge inputs in docmap seg {seg}")
+        return cat, keys
+
     outs = []
     for row in batch.to_pylist():
         part = int(row["part"])
-        kind = row["kind"]
-        if kind == "postings":
-            wide = cfg.doc_id_bits == 128
-            seg_id = part // cfg.num_term_shards
-            tables = []
-            for d, dset in zip(input_dirs, drops):
-                p = os.path.join(d, seg_io.postings_rel_path(part))
-                if os.path.exists(p):
-                    t = _explode_postings_part(
-                        p, cfg,
-                        source_docmap=os.path.join(d, seg_io.docmap_rel_path(seg_id))
-                        if wide
-                        else None,
-                    )
-                    tables.append(
-                        _apply_drop(t, dset, "doc_id", "doc_hi" if wide else None))
-            flat = pa.concat_tables(tables)
-            if len(flat) == 0:
-                outs.append(_empty_summary())
-                continue
-            sort_keys = (
-                [("term", "ascending"), ("doc_hi", "ascending"), ("doc_id", "ascending")]
-                if wide
-                else [("term", "ascending"), ("doc_id", "ascending")]
-            )
-            order = pc.sort_indices(flat, sort_keys=sort_keys)
-            g = flat.take(order)
-            # duplicate (term, doc) pairs mean the same doc exists in
-            # two inputs — the merge contract requires disjoint corpora
-            t = g["term"].combine_chunks()
-            codes = np.asarray(t.dictionary_encode().indices)
-            docs_np = g["doc_id"].to_numpy()
-            same_doc = docs_np[1:] == docs_np[:-1]
-            if wide:
-                his_np = g["doc_hi"].to_numpy()
-                same_doc &= his_np[1:] == his_np[:-1]
-            same = np.flatnonzero((codes[1:] == codes[:-1]) & same_doc)
-            if len(same):
-                raise ValueError(
-                    f"duplicate doc ids across merge inputs in part {part} "
-                    f"(e.g. doc {docs_np[same[0]]})"
-                )
-            outs.append(_finalize_part(cfg, out_dir, part, g))
-        else:  # docmap
-            tables = []
-            for d, dset in zip(input_dirs, drops):
-                p = os.path.join(d, seg_io.docmap_rel_path(part))
-                if os.path.exists(p):
-                    t = pq.read_table(p)
-                    t = t.append_column("seg", pa.array([part] * len(t), type=pa.int32()))
-                    tables.append(
-                        _apply_drop(
-                            t, dset, "doc_id",
-                            "doc_id_hi" if cfg.doc_id_bits == 128 else None))
-            cat = pa.concat_tables(tables)
-            if cfg.doc_id_bits != 128:
-                # wide mode: low words may legitimately collide; the
-                # writer dup-checks the full (hi, lo) pair after sorting
-                ids = cat["doc_id"].to_numpy()
-                if len(ids) != len(np.unique(ids)):
-                    raise ValueError(f"duplicate doc ids across merge inputs in docmap seg {part}")
+        if row["kind"] == "docmap":
+            cat, _ = _segment_docs(part)
+            cat = cat.append_column("seg", pa.array([part] * len(cat), type=pa.int32()))
             outs.append(DocmapWriter(cfg, out_dir)(cat))
+            continue
+        seg_id = part // cfg.num_term_shards
+        tables = []
+        for d, dset in zip(input_dirs, drops):
+            p = os.path.join(d, seg_io.postings_rel_path(part))
+            if os.path.exists(p):
+                t = _explode_postings_part(
+                    p, cfg, os.path.join(d, seg_io.docmap_rel_path(seg_id)))
+                tables.append(_apply_drop(t, dset, "doc_id", "doc_hi" if wide else None))
+        flat = pa.concat_tables(tables)
+        if len(flat) == 0:
+            outs.append(_empty_summary())
+            continue
+        sort_keys = [("term", "ascending"), ("doc_id", "ascending")]
+        if wide:
+            sort_keys.insert(1, ("doc_hi", "ascending"))
+        _, seg_keys = _segment_docs(seg_id, ["doc_id_hi", "doc_id"] if wide else ["doc_id"])
+        g = flat.take(pc.sort_indices(flat, sort_keys=sort_keys))
+        outs.append(_finalize_part(cfg, out_dir, part, g, seg_keys))
     return pa.concat_tables(outs)
 
 
@@ -213,11 +183,12 @@ def merge_indexes(input_dirs: list[str], out_dir: str,
     partitions are byte-identical to a from-scratch build over the
     union corpus.
 
-    doc_id_bits=128 indexes merge at the EXTERNAL-id level: docmaps
-    merge first, then each posting merge translates its input's
-    segment-local ordinals to (hi, lo) pairs via the source docmap and
-    re-maps them to the merged docmap's ordinals — never a silent
-    ordinal-space mixup."""
+    Indexes merge at the EXTERNAL-id level, in one wave of tasks: each
+    posting merge translates its inputs' segment-local ordinals to
+    external ids via the source docmaps, and re-maps them to ordinals of
+    the merged segment's doc set (the inputs' docmap rows minus drops,
+    which the docmap task writes) — never a silent ordinal-space
+    mixup."""
     import dataclasses
 
     import ray.data
@@ -245,9 +216,9 @@ def merge_indexes(input_dirs: list[str], out_dir: str,
     cfg_dict = dataclasses.asdict(cfg)
     cfg_dict["input_columns"] = tuple(cfg_dict.get("input_columns", ()))
 
-    def _run_items(items: list[dict]) -> None:
-        if not items:
-            return
+    items = ([{"kind": "postings", "part": p} for p in posting_parts]
+             + [{"kind": "docmap", "part": s} for s in doc_segs])
+    if items:
         (
             ray.data.from_items(items, override_num_blocks=len(items))
             .map_batches(
@@ -259,16 +230,4 @@ def merge_indexes(input_dirs: list[str], out_dir: str,
             )
             .take_all()
         )
-
-    post_items = [{"kind": "postings", "part": p} for p in posting_parts]
-    doc_items = [{"kind": "docmap", "part": s} for s in doc_segs]
-    if cfg.doc_id_bits == 128:
-        # wide-id merge: docmaps merge FIRST — posting merges translate
-        # each input's segment-local ordinals to external (hi, lo)
-        # pairs via the SOURCE docmap, and _finalize_part re-maps them
-        # to the MERGED docmap's ordinals (same code path as the build)
-        _run_items(doc_items)
-        _run_items(post_items)
-    else:
-        _run_items(post_items + doc_items)
     return commit_manifest(out_dir, cfg)

@@ -168,36 +168,28 @@ def _binary_from_offsets(offsets: np.ndarray, buf: bytes) -> pa.Array:
     return pa.Array.from_buffers(pa.binary(), len(offsets) - 1, [None, off32, pa.py_buffer(buf)])
 
 
-def _finalize_part(cfg: EngineConfig, index_dir: str, part: int, g: pa.Table) -> pa.Table:
+def _finalize_part(cfg: EngineConfig, index_dir: str, part: int, g: pa.Table,
+                   seg_keys: np.ndarray) -> pa.Table:
     """g: rows of one partition, sorted by (term, doc_id) — or
-    (term, doc_hi, doc_id) in wide mode, where the external (hi, lo)
-    pairs are mapped here to SEGMENT-LOCAL ORDINALS via the segment's
-    committed docmap (sorted by (hi, lo), so ordinal order == external
-    order and the ascending-doc-id codec invariants hold unchanged)."""
+    (term, doc_hi, doc_id) in wide mode.  `seg_keys`: the sorted
+    external keys of the partition's doc-segment (`seg_io.doc_keys`),
+    one per docmap row.  Every posting's external id is mapped here to
+    its SEGMENT-LOCAL ORDINAL, the docmap row (reference documentIndex,
+    documentid.chpl:20-42); ordinal order is external order, so the
+    ascending-doc-id codec invariants hold unchanged."""
     terms = _combine(g["term"])
-    doc = g["doc_id"].to_numpy().astype(np.uint64)
-    if "doc_hi" in g.column_names and cfg.doc_id_bits == 128:
-        from chearch_ray.functions.hashing import key16
-
-        seg_id = part // cfg.num_term_shards
-        dm = pq.read_table(
-            os.path.join(index_dir, seg_io.docmap_rel_path(seg_id)),
-            columns=["doc_id_hi", "doc_id"],
+    hi = g["doc_hi"].to_numpy() if "doc_hi" in g.column_names else None
+    q = seg_io.doc_keys(hi, g["doc_id"].to_numpy())
+    doc = np.searchsorted(seg_keys, q)
+    hit = (seg_keys[np.minimum(doc, len(seg_keys) - 1)] == q if len(seg_keys)
+           else np.zeros(len(q), dtype=bool))
+    if not hit.all():
+        raise ValueError(
+            f"postings/docmap divergence in part {part}: doc ids "
+            f"{g['doc_id'].to_numpy()[~hit][:5]} missing from segment "
+            f"{part // cfg.num_term_shards} docmap"
         )
-        dm_keys = key16(
-            dm["doc_id_hi"].to_numpy().astype(np.uint64),
-            dm["doc_id"].to_numpy().astype(np.uint64),
-        )
-        q = key16(g["doc_hi"].to_numpy().astype(np.uint64), doc)
-        pos = np.searchsorted(dm_keys, q)
-        pos_c = np.minimum(pos, max(len(dm_keys) - 1, 0))
-        if len(dm_keys) == 0 or not (dm_keys[pos_c] == q).all():
-            raise ValueError(
-                f"postings/docmap divergence in part {part}: external id "
-                f"missing from segment {seg_id} docmap"
-            )
-        doc = pos_c.astype(np.uint64)
-        g = g.drop_columns(["doc_hi"])
+    doc = doc.astype(np.uint64)
     tf = g["tf"].to_numpy().astype(np.uint64)
     has_pos = cfg.store_positions and "positions" in g.column_names
     pos_col = _combine(g["positions"]) if has_pos else None
@@ -272,6 +264,7 @@ def _finalize_part(cfg: EngineConfig, index_dir: str, part: int, g: pa.Table) ->
         n_postings=int(n_postings),
         content_sha=sha,
         input_fingerprint=fingerprint.hexdigest(),
+        docmap_fingerprint=seg_io.segment_fingerprint(seg_keys),
     ).save(index_dir)
     return _summary_row("postings", part, rel, len(table), int(n_postings), sha)
 
@@ -301,7 +294,34 @@ def _finalize_runs(cfg: EngineConfig, index_dir: str, part: int, group: pa.Table
         sort_keys = [("term", "ascending"), ("doc_hi", "ascending"), ("doc_id", "ascending")]
     flat = pa.table(flat_cols)
     order = pc.sort_indices(flat, sort_keys=sort_keys)
-    return _finalize_part(cfg, index_dir, part, flat.take(order))
+    seg_keys = _segment_keys(cfg, index_dir, part // cfg.num_term_shards)
+    return _finalize_part(cfg, index_dir, part, flat.take(order), seg_keys)
+
+
+def _segment_keys(cfg: EngineConfig, index_dir: str, seg: int) -> np.ndarray:
+    """sorted external keys of doc-segment `seg`, read in the postings'
+    own finalize wave from its docmap partition's run files — or from
+    its committed docmap, when a resumed build kept that and so wrote
+    no runs for it."""
+    import pyarrow.dataset as pads
+
+    cols = ["doc_id_hi", "doc_id"] if cfg.doc_id_bits == 128 else ["doc_id"]
+    runs = os.path.join(index_dir, "_shuffle",
+                        f"part={cfg.num_segments * cfg.num_term_shards + seg}")
+    if os.path.isdir(runs):
+        t = pads.dataset(runs, format="parquet").to_table(columns=cols)
+    else:
+        t = pq.read_table(os.path.join(index_dir, seg_io.docmap_rel_path(seg)), columns=cols)
+    hi = t["doc_id_hi"].to_numpy() if len(cols) == 2 else None
+    return _unique_keys(np.sort(seg_io.doc_keys(hi, t["doc_id"].to_numpy())), seg)
+
+
+def _unique_keys(keys: np.ndarray, seg: int) -> np.ndarray:
+    """sorted keys, checked: a repeated external id would give two docs
+    one ordinal"""
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError(f"duplicate external doc id in segment {seg}")
+    return keys
 
 
 class DocmapWriter:
@@ -316,31 +336,18 @@ class DocmapWriter:
         if len(group) == 0:
             return _empty_summary()
         seg = int(group["seg"][0].as_py())
-        if self.cfg.doc_id_bits == 128:
-            # wide mode: row order IS the ordinal assignment — sorted
-            # by external (hi, lo), so ordinal order mirrors external
-            # order; duplicate externals would corrupt the mapping
-            g = group.sort_by(
-                [("doc_id_hi", "ascending"), ("doc_id", "ascending")]
-            ).drop_columns(["seg"])
-            g = g.select([f.name for f in seg_io.DOCMAP_SCHEMA_WIDE]).cast(
-                seg_io.DOCMAP_SCHEMA_WIDE
-            )
-            hi = g["doc_id_hi"].to_numpy()
-            lo = g["doc_id"].to_numpy()
-            dup = (hi[1:] == hi[:-1]) & (lo[1:] == lo[:-1])
-            if dup.any():
-                raise ValueError(
-                    f"duplicate external (hi, lo) doc id in segment {seg}"
-                )
-        else:
-            g = group.sort_by("doc_id").drop_columns(["seg"])
-            g = g.cast(seg_io.DOCMAP_SCHEMA)
+        # row order IS the ordinal assignment: sorted by external id
+        # (hi, lo), so ordinal order mirrors external order
+        wide = self.cfg.doc_id_bits == 128
+        schema = seg_io.DOCMAP_SCHEMA_WIDE if wide else seg_io.DOCMAP_SCHEMA
+        order = ["doc_id_hi", "doc_id"] if wide else ["doc_id"]
+        g = group.sort_by([(c, "ascending") for c in order]).select(schema.names).cast(schema)
+        hi = g["doc_id_hi"].to_numpy() if wide else None
+        keys = _unique_keys(seg_io.doc_keys(hi, g["doc_id"].to_numpy()), seg)
         rel = seg_io.docmap_rel_path(seg)
         full = os.path.join(self.index_dir, rel)
         seg_io.atomic_write_table(g, full)
         sha = seg_io.file_sha256(full)
-        fp = hashlib.sha256(g["doc_id"].to_numpy().astype(np.uint64).tobytes()).hexdigest()
         seg_io.LineageRecord(
             kind="docmap",
             part=seg,
@@ -348,6 +355,6 @@ class DocmapWriter:
             rows=len(g),
             n_postings=int(g["doc_len"].to_numpy().astype(np.int64).sum()),
             content_sha=sha,
-            input_fingerprint=fp,
+            input_fingerprint=seg_io.segment_fingerprint(keys),
         ).save(self.index_dir)
         return _summary_row("docmap", seg, rel, len(g), 0, sha)

@@ -171,9 +171,8 @@ def _string_view(col: "pa.LargeStringArray", off: int, n: int) -> "pa.Array | No
 
 
 def _load_tombstones(index_dir: str, docmap) -> np.ndarray:
-    """sorted deleted-doc array for one segment: posting-value space
-    (external uint64 ids in 64-bit mode; docmap ordinals in wide
-    mode).  Empty when no tombstones exist."""
+    """sorted deleted-doc array for one segment, as docmap ordinals
+    (the posting-value space).  Empty when no tombstones exist."""
     import glob as _glob
 
     import pyarrow.parquet as _pq
@@ -183,16 +182,9 @@ def _load_tombstones(index_dir: str, docmap) -> np.ndarray:
         return np.empty(0, dtype=np.uint64)
     tables = [_pq.read_table(p) for p in paths]
     t = pa.concat_tables(tables)
-    lo = t["doc_id"].to_numpy().astype(np.uint64)
-    if getattr(docmap, "wide", False):
-        hi = (
-            t["doc_id_hi"].to_numpy().astype(np.uint64)
-            if "doc_id_hi" in t.column_names
-            else np.zeros(len(lo), dtype=np.uint64)
-        )
-        ords = docmap.ordinals_for(hi, lo)
-        return np.unique(ords[ords >= 0].astype(np.uint64))
-    return np.unique(lo)
+    hi = t["doc_id_hi"].to_numpy() if "doc_id_hi" in t.column_names else None
+    ords = docmap.ordinals_for(hi, t["doc_id"].to_numpy())
+    return np.unique(ords[ords >= 0].astype(np.uint64))
 
 
 class SegmentSearcher:
@@ -220,7 +212,6 @@ class SegmentSearcher:
         # manifest until compaction, the standard live-docs contract.
         self.deleted = _load_tombstones(index_dir, self.docmap)
         self._decoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._rows_cache: dict[str, np.ndarray] = {}
         self._enc_cache: dict[str, object] = {}
         self._blk_cache: dict[str, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
         self._pos_cache: dict[str, list | None] = {}
@@ -236,9 +227,10 @@ class SegmentSearcher:
         self._sharder = TermSharder(cfg.num_term_shards)
 
     # ----------------------------------------------------------- postings
-    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """(doc_ids ascending, tfs) for a term; empty arrays when the
-        term is unknown (NullOperand analogue, memorysegment.chpl:314-317)."""
+    def _postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """(docmap ordinals ascending, tfs) for a term; empty arrays
+        when the term is unknown (NullOperand analogue,
+        memorysegment.chpl:314-317)."""
         hit = self._decoded.get(term)
         if hit is not None:
             return hit
@@ -253,24 +245,24 @@ class SegmentSearcher:
         self._decoded[term] = out
         return out
 
-    def postings_rows(self, term: str) -> np.ndarray:
-        """docmap ROW INDICES aligned with postings(term)[0], cached
-        per term.  Scoring needs each candidate's doc length; mapping
-        ids -> docmap rows is a searchsorted over the FULL postings
-        list — the profiled hot cost of BM25 on common terms.  A
-        segment is immutable, so the mapping never goes stale; repeat
-        queries on a hot term replace O(n log n) searchsorted with an
-        O(k) gather."""
-        hit = self._rows_cache.get(term)
-        if hit is not None:
-            return hit
-        docs, _ = self.postings(term)
-        rows = (self.docmap._indices_for(docs) if len(docs)
-                else np.empty(0, dtype=np.int64))
-        if len(self._rows_cache) > 4096:  # bound like _decoded
-            self._rows_cache.clear()
-        self._rows_cache[term] = rows
-        return rows
+    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """(external doc ids, tfs) for a term, in posting order (the
+        low words in doc_id_bits=128 mode)."""
+        ords, tfs = self._postings(term)
+        return (self.docmap.external_ids(ords)[1] if len(ords) else ords), tfs
+
+    def _posting_index(self, term: str, doc_id: int, doc_hi: int | None) -> int | None:
+        """index of external doc (`doc_hi`, `doc_id`) in `term`'s
+        postings; None when the doc does not contain the term"""
+        if self.docmap is None:
+            return None
+        ordv = self.docmap.ordinals_for(
+            None if doc_hi is None else np.array([doc_hi]), np.array([doc_id]))[0]
+        if ordv < 0:
+            return None
+        docs, _ = self._postings(term)
+        i = int(np.searchsorted(docs, np.uint64(ordv)))
+        return i if i < len(docs) and docs[i] == ordv else None
 
     def df(self, term: str) -> int:
         reader = self.shards.get(self._sharder.shard_of(term))
@@ -321,7 +313,7 @@ class SegmentSearcher:
             # it will touch nearly every block — decode once and skip
             # the per-probe block mapping entirely
             self.decode_stats["blocks_decoded"] += n_blocks
-            return _probe_into(*self.postings(term))
+            return _probe_into(*self._postings(term))
         needed = np.unique(np.searchsorted(enc.block_last, probes, side="left"))
         needed = needed[needed < n_blocks]
         if len(needed) == 0:  # every probe is past the last posting
@@ -330,7 +322,7 @@ class SegmentSearcher:
             # probes hit most blocks — a single full decode is cheaper
             # than per-block bookkeeping, and it warms the list cache
             self.decode_stats["blocks_decoded"] += n_blocks
-            return _probe_into(*self.postings(term))
+            return _probe_into(*self._postings(term))
         docs, tfs = self._decode_blocks_cached(term, enc, needed)
         return _probe_into(docs, tfs)
 
@@ -401,7 +393,7 @@ class SegmentSearcher:
 
     def _eval_sets(self, node: ast.Node) -> np.ndarray:
         if isinstance(node, ast.Term):
-            return self.postings(str(node.term))[0]
+            return self._postings(str(node.term))[0]
         if isinstance(node, ast.AndNot):
             # positive-anchored: decode a, skip-block-probe b on a's
             # docs — the negative side is never decoded in full
@@ -424,7 +416,7 @@ class SegmentSearcher:
         if ast.is_disjunctive(node):
             terms = ast.terms_of(node)
             if len(terms) > 2:
-                arrs = [self.postings(str(t))[0] for t in terms]
+                arrs = [self._postings(str(t))[0] for t in terms]
                 return np.unique(np.concatenate(arrs))
         a = self._eval_sets(node.a)
         b = self._eval_sets(node.b)
@@ -448,37 +440,17 @@ class SegmentSearcher:
         searcher.  The engine joins idf/df and computes contributions
         driver-side (QueryEngine.explain)."""
         lo = np.asarray(doc_lo, dtype=np.uint64)
+        hi = None if doc_hi is None else np.asarray(doc_hi, dtype=np.uint64)
         dm = self.docmap
-        wide_out = self.cfg.doc_id_bits == 128
-        if dm is None:  # docmap-less segment (empty corpus): no evidence
-            lo, present = lo[:0], np.zeros(0, dtype=bool)
-            probes = rows = np.empty(0, dtype=np.int64)
-            out_hi = np.empty(0, dtype=np.uint64) if wide_out else None
-        elif getattr(dm, "wide", False):
-            hi = np.asarray(doc_hi, dtype=np.uint64)
-            ords = dm.ordinals_for(hi, lo)
-            present = ords >= 0
-            probes = ords[present].astype(np.uint64)
-            rows = probes.astype(np.int64)
-            out_hi = hi[present]
-        else:
-            if len(dm.doc_ids):
-                idx_c = np.minimum(np.searchsorted(dm.doc_ids, lo),
-                                   len(dm.doc_ids) - 1)
-                present = dm.doc_ids[idx_c] == lo
-                rows = idx_c[present]
-            else:
-                present = np.zeros(len(lo), dtype=bool)
-                rows = np.empty(0, dtype=np.int64)
-            probes = lo[present]
-            out_hi = None
+        # a docmap-less segment (empty corpus) holds no evidence
+        ords = dm.ordinals_for(hi, lo) if dm is not None else np.full(len(lo), -1)
+        present = ords >= 0
+        if len(self.deleted):
+            present[present] = self._not_deleted(ords[present].astype(np.uint64))
+        probes = ords[present].astype(np.uint64)
         out_lo = lo[present]
-        if dm is not None and len(self.deleted):
-            live = self._not_deleted(probes)
-            probes, rows, out_lo = probes[live], rows[live], out_lo[live]
-            if out_hi is not None:
-                out_hi = out_hi[live]
-        dl = dm.doc_len[rows] if dm is not None else np.empty(0, np.float64)
+        out_hi = hi[present] if self.cfg.doc_id_bits == 128 else None
+        dl = dm.doc_len[probes] if len(probes) else np.empty(0, np.float64)
         cols_lo, cols_hi, cols_term, cols_tf, cols_dl = [], [], [], [], []
         for term in terms:
             tf = self.probe_tfs(str(term), probes)
@@ -522,26 +494,16 @@ class SegmentSearcher:
         qualifying docs only.  Cursor scores are deterministic floats
         produced by this same engine, so float equality at the tie
         boundary is exact.  `after` is (score, doc_id) in 64-bit mode
-        and (score, doc_id_hi, doc_id) in doc_id_bits=128 mode; wide
-        posting values are segment-local ordinals, so the (rare)
-        score-tie rows resolve through the docmap to external keys."""
+        and (score, doc_id_hi, doc_id) in doc_id_bits=128 mode; the
+        (rare) score-tie rows compare their docmap keys with the
+        cursor's."""
         s_c = float(after[0])
         mask = scores < s_c
         eq = np.flatnonzero(scores == s_c)
         if len(eq):
-            if self.docmap is not None and getattr(self.docmap, "wide", False):
-                from chearch_ray.functions.hashing import key16
-
-                hi, lo = self.docmap.external_ids(docs[eq])
-                keys = key16(hi, lo)
-                key_c = key16(
-                    np.array([after[1]], dtype=np.uint64),
-                    np.array([after[2]], dtype=np.uint64),
-                )[0]
-            else:
-                keys = docs[eq]
-                key_c = np.uint64(after[1])
-            mask[eq] = keys > key_c
+            dm = self.docmap
+            key_c = dm.key([after[1]] if len(after) == 3 else None, [after[-1]])[0]
+            mask[eq] = dm._keys[dm._indices_for(docs[eq])] > key_c
         return mask
 
     def search_boolean(self, node: ast.Node, limit: int | None = None,
@@ -620,11 +582,10 @@ class SegmentSearcher:
 
     # ------------------------------------------------- metadata filters
     def _filter_allowed(self, flt: dict[str, list]) -> np.ndarray:
-        """Sorted doc-id (posting-ordinal in wide mode) array of docmap
-        rows matching a metadata predicate: a column's values list
-        holds plain values (IN semantics) and/or range spec tuples
-        ("range", lo|None, hi|None, lo_incl, hi_incl) — OR within a
-        column, AND across columns.  Range bounds arrive as strings
+        """Sorted ordinal array of the docmap rows matching a metadata
+        predicate: a column's values list holds plain values (IN
+        semantics) and/or range spec tuples ("range", lo|None, hi|None,
+        lo_incl, hi_incl) — OR within a column, AND across columns.  Range bounds arrive as strings
         from the grammar and are typed from the docmap schema (numeric
         columns compare numerically, strings lexicographically).
         Computed once per predicate per actor (the docmap is
@@ -680,11 +641,7 @@ class SegmentSearcher:
                 mask[:] = False
                 continue
             mask &= pc.fill_null(hit, False).to_numpy(zero_copy_only=False)
-        if getattr(self.docmap, "wide", False):
-            # posting values are row ordinals of the (hi, lo)-sorted docmap
-            allowed = np.flatnonzero(mask).astype(np.uint64)
-        else:
-            allowed = self.docmap.doc_ids[mask].astype(np.uint64)
+        allowed = np.flatnonzero(mask).astype(np.uint64)
         if len(self._filter_cache) >= _FILTER_CACHE_MAX:
             self._filter_cache.clear()
         self._filter_cache[key] = allowed
@@ -757,16 +714,15 @@ class SegmentSearcher:
             # a term's candidates ARE its postings — the generic path
             # would searchsorted the list into itself to re-find tfs
             term = str(node.term)
-            docs, tfs = self.postings(term)
-            rows = self.postings_rows(term)  # cached id->docmap rows
+            docs, tfs = self._postings(term)
             if len(self.deleted):
                 keep = self._not_deleted(docs)
-                docs, tfs, rows = docs[keep], tfs[keep], rows[keep]
+                docs, tfs = docs[keep], tfs[keep]
             if len(docs) == 0:
                 return self._project(docs, scores=np.empty(0), with_meta=with_meta)
             cfg = self.cfg
             scores = bm25_component(
-                tfs.astype(np.float64), self.docmap.doc_len[rows],
+                tfs.astype(np.float64), self.docmap.lengths_for(docs),
                 idfs.get(term, 0.0), avgdl, cfg.k1, cfg.b,
             )
             if after is not None:
@@ -781,15 +737,15 @@ class SegmentSearcher:
             # path (every candidate has tf > 0 in every term, and the
             # accumulation runs in the same query-term order).
             terms = [str(t) for t in ast.terms_of(node)]
-            docs, tf_by_term, rows = self._conjunctive_eval(terms)
+            docs, tf_by_term = self._conjunctive_eval(terms)
             if len(self.deleted) and len(docs):
                 keep = self._not_deleted(docs)
-                docs, rows = docs[keep], rows[keep]
+                docs = docs[keep]
                 tf_by_term = {t: v[keep] for t, v in tf_by_term.items()}
             if len(docs) == 0:
                 return self._project(docs, scores=np.empty(0), with_meta=with_meta)
             cfg = self.cfg
-            dl_all = self.docmap.doc_len[rows]
+            dl_all = self.docmap.lengths_for(docs)
             scores = np.zeros(len(docs), dtype=np.float64)
             for term in terms:
                 scores += bm25_component(
@@ -829,7 +785,7 @@ class SegmentSearcher:
         doc's multiplicity in the concatenation IS its matching-term
         count (one posting per (term, doc))."""
         cfg = self.cfg
-        arrs = [self.postings(t) for t in terms]
+        arrs = [self._postings(t) for t in terms]
         nonempty = [d for d, _ in arrs if len(d)]
         if not nonempty:
             e = _EMPTY_U64
@@ -882,7 +838,7 @@ class SegmentSearcher:
         if self.docmap is None:
             return self._project(_EMPTY_U64, scores=np.empty(0),
                                  with_meta=with_meta)
-        docs, tfs = self.postings(term)
+        docs, tfs = self._postings(term)
         if len(docs) == 0:
             return self._project(docs, scores=np.empty(0),
                                  with_meta=with_meta)
@@ -940,7 +896,7 @@ class SegmentSearcher:
             return self._project(_EMPTY_U64, scores=np.empty(0),
                                  with_meta=with_meta)
         cfg = self.cfg
-        arrs = [self.postings(t) for t in terms]
+        arrs = [self._postings(t) for t in terms]
         nonempty = [d for d, _ in arrs if len(d)]
         if not nonempty:
             return self._project(_EMPTY_U64, scores=np.empty(0),
@@ -1035,18 +991,13 @@ class SegmentSearcher:
 
     def _conjunctive_eval(
         self, terms: list[str]
-    ) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
-        """intersection docs of `terms`, each term's tf aligned to the
-        surviving docs, and the surviving docs' docmap ROW indices
-        (threaded through the narrowing from the rarest term's cached
-        postings_rows — scoring then gathers doc lengths without a
-        searchsorted over the candidate set).  Decodes the rarest term
-        fully, then narrows by skip-block probing the others in
-        ascending-df order (the lazy AND shape of _eval_sets, keeping
-        the tfs it finds)."""
+    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """intersection docs of `terms` and each term's tf aligned to
+        the surviving docs.  Decodes the rarest term fully, then
+        narrows by skip-block probing the others in ascending-df order
+        (the lazy AND shape of _eval_sets, keeping the tfs it finds)."""
         order = sorted(terms, key=lambda t: self.df(t))
-        docs, tf0 = self.postings(order[0])
-        rows = self.postings_rows(order[0])
+        docs, tf0 = self._postings(order[0])
         tf_by_term: dict[str, np.ndarray] = {order[0]: tf0}
         for term in order[1:]:
             if len(docs) == 0:
@@ -1054,14 +1005,12 @@ class SegmentSearcher:
             tf_all = self.probe_tfs(term, docs)
             keep = tf_all > 0
             docs = docs[keep]
-            rows = rows[keep]
             for t in tf_by_term:
                 tf_by_term[t] = tf_by_term[t][keep]
             tf_by_term[term] = tf_all[keep]
         if len(docs) == 0:
-            return (docs, {t: np.empty(0, dtype=np.uint64) for t in terms},
-                    np.empty(0, dtype=np.int64))
-        return docs, tf_by_term, rows
+            return docs, {t: np.empty(0, dtype=np.uint64) for t in terms}
+        return docs, tf_by_term
 
     def _score_docs(
         self,
@@ -1118,7 +1067,7 @@ class SegmentSearcher:
             return _EMPTY_U64, _EMPTY_U64, 0.0
         n_blocks = len(enc.block_last)
         if kth is None:
-            docs, tfs = self.postings(term)
+            docs, tfs = self._postings(term)
             return docs, tfs, 0.0
         cfg = self.cfg
         btf = enc.block_max_tf.astype(np.float64)
@@ -1128,7 +1077,7 @@ class SegmentSearcher:
         self.decode_stats["blocks_total"] += n_blocks
         if len(keep) * 2 >= n_blocks:
             self.decode_stats["blocks_decoded"] += n_blocks
-            docs, tfs = self.postings(term)
+            docs, tfs = self._postings(term)
             return docs, tfs, 0.0
         skipped_max = float(block_ub[~keep_mask].max()) if len(keep) < n_blocks else 0.0
         # decode through the block cache so any later probes of this
@@ -1250,28 +1199,25 @@ class SegmentSearcher:
     def _project(self, doc_ids: np.ndarray, scores: np.ndarray | None,
                  with_meta: bool | None = True):
         """The single exit of every result-returning operator.
-        `with_meta=None` hands the raw hits — posting values (ordinals
-        in wide mode) and scores, numpy — to SearcherGroup, which
+        `with_meta=None` hands the raw hits — posting values (docmap
+        ordinals) and scores, numpy — to SearcherGroup, which
         merges its members' hits and projects metadata ONCE for the
         final winners (late materialization).  Otherwise an Arrow
         table: the (doc_id_hi,) doc_id[, score] ids, plus the docmap
         metadata columns when `with_meta` is True."""
         if with_meta is None:
             return doc_ids, scores
-        wide = self.docmap is not None and getattr(self.docmap, "wide", False)
-        if wide:
-            # posting values are segment-local ordinals; results carry
-            # the EXTERNAL (hi, lo) id pair
-            if len(doc_ids):
-                hi, lo = self.docmap.external_ids(doc_ids)
-            else:
-                hi = lo = np.empty(0, dtype=np.uint64)
-            cols: dict = {
-                "doc_id_hi": pa.array(hi, type=pa.uint64()),
-                "doc_id": pa.array(lo, type=pa.uint64()),
-            }
+        # posting values are segment-local ordinals; results carry the
+        # EXTERNAL ids
+        cols: dict = {}
+        if self.docmap is not None and len(doc_ids):
+            hi, lo = self.docmap.external_ids(doc_ids)
         else:
-            cols = {"doc_id": pa.array(doc_ids.astype(np.uint64), type=pa.uint64())}
+            hi = np.empty(0, np.uint64) if self.cfg.doc_id_bits == 128 else None
+            lo = np.empty(0, np.uint64)
+        if hi is not None:
+            cols["doc_id_hi"] = pa.array(hi, type=pa.uint64())
+        cols["doc_id"] = pa.array(lo, type=pa.uint64())
         if scores is not None:
             cols["score"] = pa.array(scores.astype(np.float64), type=pa.float64())
         if not with_meta:
@@ -1290,20 +1236,16 @@ class SegmentSearcher:
         return pa.table(cols)
 
     # --------------------------------------------------------- positions
-    def positions(self, term: str, doc_id: int) -> list[int]:
+    def positions(self, term: str, doc_id: int, doc_hi: int | None = None) -> list[int]:
         """Per-occurrence token positions (reference textLocation
-        analogue) for conformance checks."""
+        analogue) of external doc (`doc_hi`, `doc_id`), for conformance
+        checks."""
         reader = self.shards.get(self._sharder.shard_of(term))
         if reader is None:
             return []
         pos = reader.positions(term)
-        if pos is None:
-            return []
-        docs, _ = self.postings(term)
-        idx = int(np.searchsorted(docs, np.uint64(doc_id)))
-        if idx >= len(docs) or docs[idx] != doc_id:
-            return []
-        return pos[idx]
+        idx = self._posting_index(term, doc_id, doc_hi)
+        return [] if pos is None or idx is None else pos[idx]
 
     def term_positions(self, term: str) -> list | None:
         """all position lists of a term (aligned with its posting
@@ -1323,18 +1265,9 @@ class SegmentSearcher:
         """First token position of `term` in `doc_id`, 0 when the doc
         matches but positions are not stored, None when the doc does
         not contain the term (serving-layer helper).  In wide-id mode
-        pass the external pair (`doc_hi`, `doc_id`) — it resolves to
-        the posting ordinal through the docmap."""
-        if doc_hi is not None and self.docmap is not None and getattr(self.docmap, "wide", False):
-            ordv = self.docmap.ordinals_for(
-                np.array([doc_hi], dtype=np.uint64), np.array([doc_id], dtype=np.uint64)
-            )[0]
-            if ordv < 0:
-                return None
-            doc_id = int(ordv)
-        docs, _ = self.postings(term)
-        i = int(np.searchsorted(docs, np.uint64(doc_id)))
-        if i >= len(docs) or docs[i] != np.uint64(doc_id):
+        pass the external pair (`doc_hi`, `doc_id`)."""
+        i = self._posting_index(term, doc_id, doc_hi)
+        if i is None:
             return None
         all_pos = self.term_positions(term)
         if not all_pos:
@@ -1389,15 +1322,15 @@ class SegmentSearcher:
         every conjunctive candidate has tf > 0 in every term, so the
         masked accumulation degenerates to this unmasked one in the
         same term order."""
-        candidates, tf_by_term, rows = self._conjunctive_eval(uniq_terms)
+        candidates, tf_by_term = self._conjunctive_eval(uniq_terms)
         if len(self.deleted) and len(candidates):
             keep = self._not_deleted(candidates)
-            candidates, rows = candidates[keep], rows[keep]
+            candidates = candidates[keep]
             tf_by_term = {t: v[keep] for t, v in tf_by_term.items()}
         if len(candidates) == 0:
             return candidates, np.empty(0)
         cfg = self.cfg
-        dl_all = self.docmap.doc_len[rows]
+        dl_all = self.docmap.lengths_for(candidates)
         scores = np.zeros(len(candidates), dtype=np.float64)
         for t in uniq_terms:
             scores += bm25_component(
@@ -1468,7 +1401,7 @@ class SegmentSearcher:
             return np.searchsorted(hit[0], docs)
         enc = self._encoded(term)
         if enc is None or len(docs) * 2 >= enc.count:
-            return np.searchsorted(self.postings(term)[0], docs)
+            return np.searchsorted(self._postings(term)[0], docs)
         blocks = np.searchsorted(enc.block_last, docs, side="left")
         self.decode_stats["blocks_total"] += len(enc.block_last)
         needed = np.unique(blocks)
@@ -1826,13 +1759,19 @@ class SearcherGroup:
         self.cfg = cfg
         self.segs = list(segs)
         self.members = [SegmentSearcher(index_dir, s, cfg) for s in segs]
-        # wide ids: posting values are segment-local ordinals that
-        # collide across members — hits resolve to external (hi, lo)
-        # before the merge, which tie-breaks on key16 like the engine
+        # posting values are segment-local ordinals that collide across
+        # members — hits resolve to external ids before the merge, which
+        # tie-breaks on key16 in wide mode like the engine
         self._wide = cfg.doc_id_bits == 128
         docmaps = [m.docmap for m in self.members if m.docmap is not None]
         sizes = [0 if m.docmap is None else len(m.docmap.doc_ids) for m in self.members]
         self._offsets = np.cumsum([0] + sizes[:-1]).astype(np.int64)
+        # external ids by group row: a hit's ids are one gather
+        self._lo = np.concatenate(
+            [np.empty(0, np.uint64)] + [d.doc_ids.astype(np.uint64) for d in docmaps])
+        self._hi = (np.concatenate(
+            [np.empty(0, np.uint64)] + [d.doc_hi.astype(np.uint64) for d in docmaps])
+            if self._wide else None)
         # one contiguous copy: take on a multi-chunk column would
         # concatenate every chunk per call.  Combined with 64-bit
         # offsets, so no column overflows; a column that fits 32-bit
@@ -1872,30 +1811,24 @@ class SearcherGroup:
         """members' numpy hits of SegmentSearcher operator `name`
         (keyword arguments `kw`) -> this group's top-k (or top-k
         collapsed on metadata column `collapse`) as a table."""
-        lo, hi, rows, scores = [], [], [], []
+        rows, scores = [], []
         for m, off in zip(self.members, self._offsets):
             docs, s = getattr(m, name)(k=k, with_meta=None, **kw)
             if len(docs) == 0:
                 continue
-            if self._wide:
-                ext_hi, ext_lo = m.docmap.external_ids(docs)
-                hi.append(ext_hi)
-                r = docs.astype(np.int64)
-            else:
-                # the postings/docmap divergence check, winners only
-                ext_lo, r = docs, m.docmap._indices_for(docs)
-            lo.append(ext_lo)
-            rows.append(r + off)
+            # the postings/docmap divergence check, winners only
+            rows.append(m.docmap._indices_for(docs).astype(np.int64) + off)
             scores.append(s)
 
         def cat(xs: list, dtype) -> np.ndarray:
             return np.concatenate(xs).astype(dtype, copy=False) if xs else np.empty(0, dtype)
 
-        lo, rows, scores = cat(lo, np.uint64), cat(rows, np.int64), cat(scores, np.float64)
+        rows, scores = cat(rows, np.int64), cat(scores, np.float64)
+        lo = self._lo[rows]
         if self._wide:
             from chearch_ray.functions.hashing import key16
 
-            hi = cat(hi, np.uint64)
+            hi = self._hi[rows]
             key = key16(hi, lo)
         else:
             key = lo

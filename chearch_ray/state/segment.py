@@ -46,7 +46,13 @@ import pyarrow.parquet as pq
 from chearch_ray.config import EngineConfig
 from chearch_ray.functions.codec import EncodedPostings
 
-MANIFEST_VERSION = 1
+#: 2: 64-bit postings hold docmap row ordinals, as wide ones always
+#: did (version 1 stored the hashed external ids in 64-bit postings)
+MANIFEST_VERSION = 2
+
+#: entries kept in each per-term positions cache of PostingsPartReader
+#: before it is cleared
+_POS_CACHE_MAX = 1024
 
 POSTINGS_SCHEMA = pa.schema(
     [
@@ -123,6 +129,10 @@ class LineageRecord:
     n_postings: int
     content_sha: str
     input_fingerprint: str  # hash over the partition's input row keys
+    #: postings only: `segment_fingerprint` of the doc keys the part's
+    #: ordinals were mapped against; commit_manifest checks it against
+    #: the docmap's input_fingerprint
+    docmap_fingerprint: str = ""
 
     def save(self, index_dir: str) -> None:
         atomic_write_json(dataclasses.asdict(self), lineage_path(index_dir, self.kind, self.part))
@@ -137,7 +147,10 @@ class LineageRecord:
 
     def verify(self, index_dir: str) -> bool:
         """True iff the output file exists and hashes to the recorded
-        sha — the partition can be skipped on resume."""
+        sha — the partition can be skipped on resume.  A postings
+        record must also name the docmap it was mapped against."""
+        if self.kind == "postings" and not self.docmap_fingerprint:
+            return False
         full = os.path.join(index_dir, self.path)
         return os.path.exists(full) and file_sha256(full) == self.content_sha
 
@@ -162,6 +175,25 @@ def completed_parts(index_dir: str, kind: str) -> set[int]:
     return done
 
 
+def doc_keys(hi, lo) -> np.ndarray:
+    """sortable keys of external doc ids: `lo` itself in 64-bit mode
+    (hi None), key16(hi, lo) in wide mode.  A docmap's rows, and so the
+    ordinals postings hold, are in key order."""
+    lo = np.asarray(lo, dtype=np.uint64)
+    if hi is None:
+        return lo
+    from chearch_ray.functions.hashing import key16
+
+    return key16(np.asarray(hi, dtype=np.uint64), lo)
+
+
+def segment_fingerprint(keys: np.ndarray) -> str:
+    """sha256 of a doc-segment's sorted `doc_keys`: the docmap lineage's
+    input_fingerprint, and the docmap_fingerprint of every postings part
+    whose ordinals were mapped against those keys"""
+    return hashlib.sha256(keys.tobytes()).hexdigest()
+
+
 # ------------------------------------------------------------- manifest
 @dataclass
 class Manifest:
@@ -182,6 +214,11 @@ class Manifest:
             raise ValueError(
                 f"index postings use codec {codec!r}, which this version cannot "
                 f"read ({EngineConfig.codec!r} only); rebuild the index"
+            )
+        if self.version < 2 and self.config.get("doc_id_bits", 64) == 64:
+            raise ValueError(
+                f"index manifest version {self.version}: its 64-bit postings hold "
+                "external ids, not docmap ordinals; rebuild the index"
             )
         valid = {f.name for f in dataclasses.fields(EngineConfig)}
         cfg = {k: v for k, v in self.config.items() if k in valid}
@@ -345,7 +382,7 @@ class PostingsPartReader:
         tfs = decode_tfs(self.encoded(term))
         tfs = tfs.astype(np.int64)
         out = np.minimum(tfs, self._max_pos) if self._max_pos > 0 else tfs
-        if len(self._pos_counts_cache) > 1024:
+        if len(self._pos_counts_cache) >= _POS_CACHE_MAX:
             self._pos_counts_cache.clear()
         self._pos_counts_cache[term] = out
         return out
@@ -368,7 +405,7 @@ class PostingsPartReader:
             pa.array(offsets.astype(np.int32), type=pa.int32()),
             pa.array(flat.astype(np.uint32), type=pa.uint32()),
         )
-        if len(self._pos_decoded) > 1024:
+        if len(self._pos_decoded) >= _POS_CACHE_MAX:
             self._pos_decoded.clear()
         self._pos_decoded[term] = out
         return out
@@ -442,6 +479,8 @@ class PostingsPartReader:
         counts = self._pos_counts(term)
         n_post = len(counts)
         seen = self._pos_flat_hits.get(term, 0)
+        if len(self._pos_flat_hits) >= _POS_CACHE_MAX:
+            self._pos_flat_hits.clear()
         self._pos_flat_hits[term] = seen + 1
         full = self._full_positions_if_cheap(term, rows, n_post)
         if full is None and seen >= 1:
@@ -453,7 +492,7 @@ class PostingsPartReader:
                 # for sliced arrays (raw child offsets)
                 hit = (np.asarray(full.offsets).astype(np.int64),
                        np.asarray(full.values).astype(np.int64))
-                if len(self._pos_np) > 1024:
+                if len(self._pos_np) >= _POS_CACHE_MAX:
                     self._pos_np.clear()
                 self._pos_np[term] = hit
             off, v = hit
@@ -578,76 +617,66 @@ class PostingsPartReader:
 
 
 class DocmapReader:
-    """One doc-segment's docmap, held as sorted numpy arrays for O(log n)
-    doc_id -> (doc_len, metadata row) lookup.
-
-    Wide (doc_id_bits=128) docmaps are ORDINAL-indexed: posting values
-    are the row ordinals, so every lookup is O(1) fancy indexing, and
-    `external_ids` / `ordinals_for` translate between the ordinal space
-    and the external (hi, lo) pairs."""
+    """One doc-segment's docmap.  Its rows are sorted by external id
+    (`doc_id`, or (`doc_id_hi`, `doc_id`) with doc_id_bits=128), and a
+    doc's row is its ORDINAL, the value its postings hold (reference
+    documentIndex vs externalDocId, documentid.chpl:20-42): mapping a
+    posting value to its row is a bounds check, and `external_ids` /
+    `ordinals_for` translate between ordinals and external ids."""
 
     def __init__(self, path: str):
         table = pq.read_table(path)
         self.table = table
-        self.wide = "doc_id_hi" in table.column_names
-        self.doc_ids = table["doc_id"].to_numpy()  # sorted ascending (64-bit mode)
+        self.doc_ids = table["doc_id"].to_numpy()
         self.doc_len = table["doc_len"].to_numpy().astype(np.float64)
-        if self.wide:
-            from chearch_ray.functions.hashing import key16
+        #: high words of wide external ids; None in 64-bit mode
+        self.doc_hi = (table["doc_id_hi"].to_numpy()
+                       if "doc_id_hi" in table.column_names else None)
+        self._keys = self.key(self.doc_hi, self.doc_ids)
 
-            self.doc_hi = table["doc_id_hi"].to_numpy()
-            self._keys = key16(
-                self.doc_hi.astype(np.uint64), self.doc_ids.astype(np.uint64)
-            )
+    def key(self, hi, lo) -> np.ndarray:
+        """`doc_keys` of external ids in this docmap's mode: hi is
+        ignored in 64-bit mode, and None means 0 in wide mode"""
+        if self.doc_hi is None:
+            return doc_keys(None, lo)
+        return doc_keys(np.zeros(len(lo), np.uint64) if hi is None else hi, lo)
 
-    def _indices_for(self, doc_ids: np.ndarray) -> np.ndarray:
-        """validated lookup: every id must exist in the docmap — a miss
-        means postings/docmap divergence (e.g. mixed stale segments)
-        and silently returning a neighbor's row would corrupt scores
-        and projections.  Wide mode: ids ARE ordinals (bounds-checked)."""
-        if self.wide:
-            ids = doc_ids.astype(np.int64)
-            if len(ids) and (ids.max(initial=-1) >= len(self.doc_ids) or ids.min(initial=0) < 0):
-                raise ValueError("posting ordinal out of docmap range")
-            return ids
-        if len(self.doc_ids):
-            idx = np.searchsorted(self.doc_ids, doc_ids)
-            np.minimum(idx, len(self.doc_ids) - 1, out=idx)
-            hit = self.doc_ids[idx] == doc_ids
-            if hit.all():
-                return idx
-            doc_ids = doc_ids[~hit]
-        raise ValueError(
-            f"doc ids missing from docmap (postings/docmap divergence): {doc_ids[:5]}"
-        )
+    def _indices_for(self, ordinals: np.ndarray) -> np.ndarray:
+        """validated rows of posting ordinals: an ordinal past the
+        docmap means postings/docmap divergence (e.g. mixed stale
+        segments), and indexing on would corrupt scores and
+        projections."""
+        if len(ordinals) and int(ordinals.max()) >= len(self.doc_ids):
+            raise ValueError(
+                "postings/docmap divergence: posting ordinal out of docmap range")
+        return ordinals
 
-    # -------------------------------------------------- wide-id helpers
-    def external_ids(self, ordinals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(hi, lo) external pairs for posting ordinals (wide mode)."""
+    def external_ids(self, ordinals: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+        """(hi, lo) external ids of posting ordinals; hi is None in
+        64-bit mode."""
         idx = self._indices_for(ordinals)
-        return self.doc_hi[idx].astype(np.uint64), self.doc_ids[idx].astype(np.uint64)
+        hi = None if self.doc_hi is None else self.doc_hi[idx].astype(np.uint64)
+        return hi, self.doc_ids[idx].astype(np.uint64)
 
-    def ordinals_for(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-        """external (hi, lo) -> ordinals; -1 where absent (wide mode)."""
-        from chearch_ray.functions.hashing import key16
+    def ordinals_for(self, hi, lo) -> np.ndarray:
+        """external (hi, lo) ids (hi None in 64-bit mode) -> ordinals;
+        -1 where absent."""
+        q = self.key(hi, lo)
+        if len(self._keys) == 0:
+            return np.full(len(q), -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self._keys, q), len(self._keys) - 1)
+        return np.where(self._keys[pos] == q, pos, -1).astype(np.int64)
 
-        q = key16(hi.astype(np.uint64), lo.astype(np.uint64))
-        pos = np.searchsorted(self._keys, q)
-        pos_c = np.minimum(pos, max(len(self._keys) - 1, 0))
-        ok = self._keys[pos_c] == q if len(self._keys) else np.zeros(len(q), dtype=bool)
-        return np.where(ok, pos_c, -1).astype(np.int64)
+    def lengths_for(self, ordinals: np.ndarray) -> np.ndarray:
+        return self.doc_len[self._indices_for(ordinals)]
 
-    def lengths_for(self, doc_ids: np.ndarray) -> np.ndarray:
-        return self.doc_len[self._indices_for(doc_ids)]
+    def meta_for(self, ordinals: np.ndarray) -> pa.Table:
+        return self.table.take(pa.array(self._indices_for(ordinals), type=pa.int64()))
 
-    def meta_for(self, doc_ids: np.ndarray) -> pa.Table:
-        return self.table.take(pa.array(self._indices_for(doc_ids), type=pa.int64()))
-
-    def column_arrow_for(self, doc_ids: np.ndarray,
+    def column_arrow_for(self, ordinals: np.ndarray,
                          column: str) -> "pa.ChunkedArray":
-        """ONE metadata column's values for `doc_ids` as Arrow
+        """ONE metadata column's values for `ordinals` as Arrow
         (validated like meta_for) — aggregation paths hand it to
         Arrow group_by without materializing Python strings."""
         return self.table[column].take(
-            pa.array(self._indices_for(doc_ids), type=pa.int64()))
-
+            pa.array(self._indices_for(ordinals), type=pa.int64()))

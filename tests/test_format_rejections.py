@@ -1,8 +1,9 @@
 """One postings format: on-disk input written in a layout this version
 no longer reads (another codec, nested positions, run files without
-pos_lens) is rejected with a one-line ValueError that says to rebuild,
-and an older manifest that still records the retired options opens and
-answers as before."""
+pos_lens, version-1 64-bit postings holding external ids) is rejected
+with a one-line ValueError that says to rebuild, and an older manifest
+that still records the retired options, or a version-1 wide index,
+opens and answers as before."""
 
 import json
 import os
@@ -111,3 +112,49 @@ def test_resumed_runs_without_pos_lens_rejected(ray_session, corpus, tmp_path):
         pq.write_table(pads.dataset(f).to_table().drop_columns(["pos_lens"]), f)
     with pytest.raises(ValueError, match="pos_lens.*rebuild"):
         build_index(ray.data.from_arrow(corpus), d, CFG)
+
+
+# ------------------------------------------------- manifest version 1
+def _set_version(src: str, dst: str, version: int) -> None:
+    """copy an index and overwrite its manifest version"""
+    import shutil
+
+    shutil.copytree(src, dst)
+    path = os.path.join(dst, "manifest.json")
+    with open(path) as f:
+        m = json.load(f)
+    m["version"] = version
+    with open(path, "w") as f:
+        json.dump(m, f)
+
+
+def test_version1_64bit_index_rejected(built, tmp_path):
+    """version-1 64-bit postings hold hashed external ids, which this
+    version would read as docmap ordinals"""
+    from chearch_ray.pipelines.merge import merge_indexes
+
+    d = str(tmp_path / "v1")
+    _set_version(built, d, 1)
+    with pytest.raises(ValueError, match="64-bit postings hold external ids.*rebuild"):
+        QueryEngine(d, use_actors=False)
+    with pytest.raises(ValueError, match="64-bit postings hold external ids.*rebuild"):
+        merge_indexes([d, built], str(tmp_path / "merged"))
+
+
+def test_version1_wide_index_answers_as_before(ray_session, corpus, tmp_path):
+    """wide postings held ordinals in version 1 already"""
+    import dataclasses
+
+    import ray.data
+
+    wide = str(tmp_path / "wide")
+    build_index(ray.data.from_arrow(corpus), wide, dataclasses.replace(CFG, doc_id_bits=128))
+    d = str(tmp_path / "v1")
+    _set_version(wide, d, 1)
+    want = QueryEngine(wide, use_actors=False)
+    got = QueryEngine(d, use_actors=False)
+    hits = 0
+    for q in ("def return", "merge sort", "filter OR join"):
+        assert got.search(q).equals(want.search(q)), q
+        hits += len(want.search(q))
+    assert hits > 0

@@ -5,8 +5,10 @@ slices of it.
 Pinned here against the Arrow per-term values of the part file itself:
 every `encoded` field, `max_tf`, and the positions paths, for 64-bit and
 wide ids, with and without stored positions, on single- and multi-chunk
-columns.  Also the postings/docmap divergence check and the bound on the
-searcher's metadata-filter cache."""
+columns.  Also the ordinal format (every posting value is a docmap row),
+the postings/docmap divergence checks at build, commit and query time,
+and the bounds on the searcher's metadata-filter cache and the reader's
+positions hit counts."""
 
 import numpy as np
 import pyarrow as pa
@@ -19,6 +21,7 @@ from chearch_ray.functions.codec import pack_position_lists, unpack_position_blo
 from chearch_ray.pipelines.build import build_index
 from chearch_ray.sources.corpus import synthetic_corpus
 from chearch_ray.state import searcher as searcher_mod
+from chearch_ray.state import segment as segment_mod
 from chearch_ray.state.engine import QueryEngine
 from chearch_ray.state.segment import (
     DocmapReader,
@@ -166,6 +169,31 @@ def test_encoded_returns_views_not_copies(indexes):
         assert not view.flags.writeable, name
 
 
+# ------------------------------------------------------ ordinal format
+@pytest.mark.parametrize("bits", [64, 128])
+def test_postings_hold_docmap_ordinals(indexes, bits):
+    """every posting value is a row of its segment's docmap, so 64-bit
+    doc blobs hold small ordinal deltas, not hashed external ids"""
+    import os
+
+    from chearch_ray.functions.codec import decode_postings
+
+    d, cfg = indexes[bits, False], _cfg(bits, False)
+    n_postings = blob_bytes = 0
+    for p in Manifest.load(d).postings_parts:
+        seg = p["part"] // cfg.num_term_shards
+        n_docs = pq.read_metadata(os.path.join(d, docmap_rel_path(seg))).num_rows
+        reader = PostingsPartReader(os.path.join(d, p["path"]), cfg)
+        for term in reader.terms:
+            docs, _ = decode_postings(reader.encoded(term), cfg.block_size)
+            assert int(docs.max()) < n_docs, term
+        n_postings += p["n_postings"]
+        blob_bytes += len(reader._doc_blob[0])
+    assert n_postings > 1000
+    if bits == 64:
+        assert blob_bytes / n_postings < 2
+
+
 # ------------------------------------------- postings/docmap divergence
 def _truncate_docmaps(index_dir: str) -> None:
     """keep only the first row of every docmap, so postings name docs
@@ -199,19 +227,69 @@ def test_docmap_divergence_raises_wide(indexes, tmp_path):
         eng.search("def OR return")
 
 
-def test_docmap_divergence_names_missing_ids(indexes):
+def test_docmap_divergence_names_missing_ids(indexes, tmp_path):
+    """postings finalize maps external ids to docmap ordinals, and a
+    doc its segment's docmap lacks raises, naming the id"""
     import os
+
+    from chearch_ray.stages.postings import _finalize_part
 
     dm = DocmapReader(os.path.join(indexes[64, False], docmap_rel_path(0)))
     ids = dm.doc_ids[:3].astype(np.uint64)
-    assert dm._indices_for(ids).tolist() == [0, 1, 2]
+    assert dm.ordinals_for(None, ids).tolist() == [0, 1, 2]
     absent = np.array([ids[0], ids[-1] + np.uint64(1)], dtype=np.uint64)
     absent = absent[~np.isin(absent, dm.doc_ids)]
+
+    def finalize(doc_ids, keys):
+        g = pa.table({"term": ["t"] * len(doc_ids),
+                      "doc_id": pa.array(doc_ids, type=pa.uint64()),
+                      "tf": pa.array(np.ones(len(doc_ids)), type=pa.uint32())})
+        return _finalize_part(_cfg(64, False), str(tmp_path), 0, g, keys)
+
     with pytest.raises(ValueError, match=f"divergence.*{absent[0]}"):
-        dm._indices_for(np.concatenate([ids, absent]))
-    dm.doc_ids = dm.doc_ids[:0]
+        finalize(np.sort(np.concatenate([ids, absent])), dm.doc_ids)
     with pytest.raises(ValueError, match="postings/docmap divergence"):
-        dm._indices_for(ids)
+        finalize(ids, dm.doc_ids[:0])
+
+
+def test_repeated_doc_id_in_segment_raises(ray_session, corpus, tmp_path):
+    """two rows with one external id would share one ordinal"""
+    import ray.data
+
+    ids = np.arange(len(corpus), dtype=np.uint64) * np.uint64(2)
+    ids[5] = ids[7]  # same id, same segment
+    dup = corpus.append_column("doc_id", pa.array(ids, type=pa.uint64()))
+    with pytest.raises(Exception, match="duplicate external doc id in segment"):
+        build_index(ray.data.from_arrow(dup), str(tmp_path / "idx"), _cfg(64, False))
+
+
+def test_commit_checks_postings_against_docmap(indexes, tmp_path):
+    """a postings part whose ordinals were mapped against another doc
+    set fails the commit; a record naming no docmap does not verify,
+    so resume finalizes that part again"""
+    import json
+    import os
+    import shutil
+
+    from chearch_ray.pipelines.build import commit_manifest
+    from chearch_ray.state.segment import completed_parts, lineage_path
+
+    d = str(tmp_path / "idx")
+    shutil.copytree(indexes[64, False], d)
+    cfg = _cfg(64, False)
+    assert commit_manifest(d, cfg).postings_parts  # the copy commits as built
+    path = lineage_path(d, "postings", 0)
+    with open(path) as f:
+        rec = json.load(f)
+    with open(path, "w") as f:
+        json.dump({**rec, "docmap_fingerprint": "0" * 64}, f)
+    with pytest.raises(ValueError, match="postings/docmap divergence in part 0"):
+        commit_manifest(d, cfg)
+    del rec["docmap_fingerprint"]
+    with open(path, "w") as f:
+        json.dump(rec, f)
+    assert 0 not in completed_parts(d, "postings")
+    assert 1 in completed_parts(d, "postings")
 
 
 # ---------------------------------------------------- filter-cache bound
@@ -227,3 +305,30 @@ def test_filter_cache_is_bounded(indexes):
     for q, t in zip(queries[::25], got[::25]):
         assert t.equals(fresh.search_parsed(q)), q
         assert eng.search_parsed(q).equals(t), q
+
+
+# --------------------------------------------- positions hit-count bound
+def test_pos_flat_hits_is_bounded(ray_session, tmp_path):
+    """phrase verification counts hits per term; past the cache limit of
+    distinct terms the counts are cleared like the sibling caches, and
+    answers stay a fresh engine's"""
+    import ray.data
+
+    limit = segment_mod._POS_CACHE_MAX
+    words = [f"w{i:05d}" for i in range(2 * limit + 100)]
+    corpus = pa.table({
+        "doc_id": pa.array(np.arange(len(words) // 2), type=pa.uint64()),
+        "content": [f"{a} {b}" for a, b in zip(words[::2], words[1::2])],
+    })
+    cfg = EngineConfig(num_segments=1, num_term_shards=1, tokenize_batch_size=512)
+    d = str(tmp_path / "idx")
+    build_index(ray.data.from_arrow(corpus), d, cfg)
+    eng = QueryEngine(d, use_actors=False)
+    phrases = [[a, b] for a, b in zip(words[::2], words[1::2])]
+    got = [eng.search_phrase(p) for p in phrases]
+    reader = eng._local[0].shards[0]
+    assert 0 < len(reader._pos_flat_hits) <= limit
+    fresh = QueryEngine(d, use_actors=False)
+    for p, t in zip(phrases[::50], got[::50]):
+        assert len(t) == 1
+        assert t.equals(fresh.search_phrase(p)), p
