@@ -336,8 +336,8 @@ class DocmapWriter:
         if len(group) == 0:
             return _empty_summary()
         seg = int(group["seg"][0].as_py())
-        # row order IS the ordinal assignment: sorted by external id
-        # (hi, lo), so ordinal order mirrors external order
+        # row order IS the ordinal assignment: sorted by external id,
+        # so ordinal order mirrors external order
         wide = self.cfg.doc_id_bits == 128
         schema = seg_io.DOCMAP_SCHEMA_WIDE if wide else seg_io.DOCMAP_SCHEMA
         order = ["doc_id_hi", "doc_id"] if wide else ["doc_id"]
