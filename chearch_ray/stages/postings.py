@@ -305,14 +305,15 @@ def _segment_keys(cfg: EngineConfig, index_dir: str, seg: int) -> np.ndarray:
     no runs for it."""
     import pyarrow.dataset as pads
 
-    cols = ["doc_id_hi", "doc_id"] if cfg.doc_id_bits == 128 else ["doc_id"]
+    wide = cfg.doc_id_bits == 128
+    cols = ["doc_id_hi", "doc_id"] if wide else ["doc_id"]
     runs = os.path.join(index_dir, "_shuffle",
                         f"part={cfg.num_segments * cfg.num_term_shards + seg}")
     if os.path.isdir(runs):
         t = pads.dataset(runs, format="parquet").to_table(columns=cols)
     else:
         t = pq.read_table(os.path.join(index_dir, seg_io.docmap_rel_path(seg)), columns=cols)
-    hi = t["doc_id_hi"].to_numpy() if len(cols) == 2 else None
+    hi = t["doc_id_hi"].to_numpy() if wide else None
     return _unique_keys(np.sort(seg_io.doc_keys(hi, t["doc_id"].to_numpy())), seg)
 
 
