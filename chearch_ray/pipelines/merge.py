@@ -49,13 +49,14 @@ _STRUCTURAL = (
 )
 
 
-def _explode_postings_part(path: str, cfg: EngineConfig, source_docmap: str) -> pa.Table:
+def _explode_postings_part(path: str, cfg: EngineConfig, ids: pa.Table | None) -> pa.Table:
     """partition file -> flat (term, doc_id[, doc_hi], tf, positions)
     rows.  Posting values are the SOURCE index's segment-local
-    ordinals: they translate to external ids through that index's
-    docmap (`source_docmap`), so inputs merge in a shared id space."""
+    ordinals: they index that segment's docmap id columns (`ids`:
+    doc_id[, doc_id_hi]; None when the input has no such docmap), so
+    inputs merge in a shared id space."""
     from chearch_ray.functions.codec import decode_postings
-    from chearch_ray.state.segment import DocmapReader, PostingsPartReader
+    from chearch_ray.state.segment import PostingsPartReader
 
     reader = PostingsPartReader(path, cfg)
     terms = list(reader.terms)  # file-row order (term-sorted)
@@ -75,14 +76,15 @@ def _explode_postings_part(path: str, cfg: EngineConfig, source_docmap: str) -> 
     term_col = pa.DictionaryArray.from_arrays(
         pa.array(idx, type=pa.int32()), pa.array(terms, type=pa.string())
     ).cast(pa.string())
-    hi, lo = DocmapReader(source_docmap).external_ids(doc)
-    cols = {
-        "term": term_col,
-        "doc_id": pa.array(lo, type=pa.uint64()),
-        "tf": pa.array(tf.astype(np.uint32), type=pa.uint32()),
-    }
-    if hi is not None:
-        cols["doc_hi"] = pa.array(hi, type=pa.uint64())
+    idx = seg_io.checked_ordinals(doc, 0 if ids is None else len(ids))
+
+    def external(col: str) -> pa.Array:
+        return pa.array(ids[col].to_numpy()[idx] if len(idx) else idx, type=pa.uint64())
+
+    cols = {"term": term_col, "doc_id": external("doc_id"),
+            "tf": pa.array(tf.astype(np.uint32), type=pa.uint32())}
+    if cfg.doc_id_bits == 128:
+        cols["doc_hi"] = external("doc_id_hi")
     pos = reader.positions_packed_column()
     if pos is not None:
         cols["positions"] = pos  # per-posting packed cells, term-major order
@@ -128,17 +130,19 @@ def _merge_one_part(batch: pa.Table, cfg_dict: dict, input_dirs: list[str], out_
 
     wide = cfg.doc_id_bits == 128
 
-    def _segment_docs(seg: int, columns: list[str] | None = None):
-        """(docmap rows of doc-segment `seg` across the inputs minus
-        drops, their sorted external keys): the merged segment's doc
-        set, which the docmap task writes and the postings tasks map
-        to ordinals"""
-        tables = []
-        for d, dset in zip(input_dirs, drops):
-            p = os.path.join(d, seg_io.docmap_rel_path(seg))
-            if os.path.exists(p):
-                t = pq.read_table(p, columns=columns)
-                tables.append(_apply_drop(t, dset, "doc_id", "doc_id_hi" if wide else None))
+    def _input_docmaps(seg: int, columns: list[str] | None = None) -> list:
+        """each input's docmap table of doc-segment `seg` (None where
+        the input has none)"""
+        paths = [os.path.join(d, seg_io.docmap_rel_path(seg)) for d in input_dirs]
+        return [pq.read_table(p, columns=columns) if os.path.exists(p) else None
+                for p in paths]
+
+    def _segment_docs(seg: int, docmaps: list):
+        """(the inputs' docmap rows minus drops, their sorted external
+        keys): the merged segment's doc set, which the docmap task
+        writes and the postings tasks map to ordinals"""
+        tables = [_apply_drop(t, dset, "doc_id", "doc_id_hi" if wide else None)
+                  for t, dset in zip(docmaps, drops) if t is not None]
         cat = pa.concat_tables(tables)
         hi = cat["doc_id_hi"].to_numpy() if wide else None
         keys = np.sort(seg_io.doc_keys(hi, cat["doc_id"].to_numpy()))
@@ -151,17 +155,19 @@ def _merge_one_part(batch: pa.Table, cfg_dict: dict, input_dirs: list[str], out_
     for row in batch.to_pylist():
         part = int(row["part"])
         if row["kind"] == "docmap":
-            cat, _ = _segment_docs(part)
+            cat, _ = _segment_docs(part, _input_docmaps(part))
             cat = cat.append_column("seg", pa.array([part] * len(cat), type=pa.int32()))
             outs.append(DocmapWriter(cfg, out_dir)(cat))
             continue
         seg_id = part // cfg.num_term_shards
+        # each input's id columns, read once: they translate its
+        # ordinals and make up the merged segment's keys
+        docmaps = _input_docmaps(seg_id, ["doc_id_hi", "doc_id"] if wide else ["doc_id"])
         tables = []
-        for d, dset in zip(input_dirs, drops):
+        for d, dset, ids in zip(input_dirs, drops, docmaps):
             p = os.path.join(d, seg_io.postings_rel_path(part))
             if os.path.exists(p):
-                t = _explode_postings_part(
-                    p, cfg, os.path.join(d, seg_io.docmap_rel_path(seg_id)))
+                t = _explode_postings_part(p, cfg, ids)
                 tables.append(_apply_drop(t, dset, "doc_id", "doc_hi" if wide else None))
         flat = pa.concat_tables(tables)
         if len(flat) == 0:
@@ -170,7 +176,7 @@ def _merge_one_part(batch: pa.Table, cfg_dict: dict, input_dirs: list[str], out_
         sort_keys = [("term", "ascending"), ("doc_id", "ascending")]
         if wide:
             sort_keys.insert(1, ("doc_hi", "ascending"))
-        _, seg_keys = _segment_docs(seg_id, ["doc_id_hi", "doc_id"] if wide else ["doc_id"])
+        _, seg_keys = _segment_docs(seg_id, docmaps)
         g = flat.take(pc.sort_indices(flat, sort_keys=sort_keys))
         outs.append(_finalize_part(cfg, out_dir, part, g, seg_keys))
     return pa.concat_tables(outs)

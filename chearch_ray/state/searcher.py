@@ -246,8 +246,12 @@ class SegmentSearcher:
         return out
 
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """(external doc ids, tfs) for a term, in posting order (the
-        low words in doc_id_bits=128 mode)."""
+        """(external doc ids, tfs) for a term, in posting order: a
+        conformance helper for tests, doc_id_bits=64 only (a wide id is
+        a (hi, lo) pair)."""
+        if self.cfg.doc_id_bits == 128:
+            raise ValueError("postings() returns 64-bit doc ids; "
+                             "this index has doc_id_bits=128")
         ords, tfs = self._postings(term)
         return (self.docmap.external_ids(ords)[1] if len(ords) else ords), tfs
 
@@ -1766,12 +1770,6 @@ class SearcherGroup:
         docmaps = [m.docmap for m in self.members if m.docmap is not None]
         sizes = [0 if m.docmap is None else len(m.docmap.doc_ids) for m in self.members]
         self._offsets = np.cumsum([0] + sizes[:-1]).astype(np.int64)
-        # external ids by group row: a hit's ids are one gather
-        self._lo = np.concatenate(
-            [np.empty(0, np.uint64)] + [d.doc_ids.astype(np.uint64) for d in docmaps])
-        self._hi = (np.concatenate(
-            [np.empty(0, np.uint64)] + [d.doc_hi.astype(np.uint64) for d in docmaps])
-            if self._wide else None)
         # one contiguous copy: take on a multi-chunk column would
         # concatenate every chunk per call.  Combined with 64-bit
         # offsets, so no column overflows; a column that fits 32-bit
@@ -1811,24 +1809,26 @@ class SearcherGroup:
         """members' numpy hits of SegmentSearcher operator `name`
         (keyword arguments `kw`) -> this group's top-k (or top-k
         collapsed on metadata column `collapse`) as a table."""
-        rows, scores = [], []
+        lo, hi, rows, scores = [], [], [], []
         for m, off in zip(self.members, self._offsets):
             docs, s = getattr(m, name)(k=k, with_meta=None, **kw)
             if len(docs) == 0:
                 continue
-            # the postings/docmap divergence check, winners only
-            rows.append(m.docmap._indices_for(docs).astype(np.int64) + off)
+            # winners only, with the postings/docmap divergence check
+            ext_hi, ext_lo = m.docmap.external_ids(docs)
+            lo.append(ext_lo)
+            hi.append(ext_hi)
+            rows.append(docs.astype(np.int64) + off)
             scores.append(s)
 
         def cat(xs: list, dtype) -> np.ndarray:
             return np.concatenate(xs).astype(dtype, copy=False) if xs else np.empty(0, dtype)
 
-        rows, scores = cat(rows, np.int64), cat(scores, np.float64)
-        lo = self._lo[rows]
+        lo, rows, scores = cat(lo, np.uint64), cat(rows, np.int64), cat(scores, np.float64)
         if self._wide:
             from chearch_ray.functions.hashing import key16
 
-            hi = self._hi[rows]
+            hi = cat(hi, np.uint64)
             key = key16(hi, lo)
         else:
             key = lo

@@ -194,6 +194,15 @@ def segment_fingerprint(keys: np.ndarray) -> str:
     return hashlib.sha256(keys.tobytes()).hexdigest()
 
 
+def checked_ordinals(ordinals: np.ndarray, n_rows: int) -> np.ndarray:
+    """`ordinals` as rows of an `n_rows`-row docmap: an ordinal past the
+    docmap means postings/docmap divergence (e.g. mixed stale
+    segments), and indexing on would corrupt scores and projections."""
+    if len(ordinals) and int(ordinals.max()) >= n_rows:
+        raise ValueError("postings/docmap divergence: posting ordinal out of docmap range")
+    return ordinals
+
+
 # ------------------------------------------------------------- manifest
 @dataclass
 class Manifest:
@@ -642,14 +651,7 @@ class DocmapReader:
         return doc_keys(np.zeros(len(lo), np.uint64) if hi is None else hi, lo)
 
     def _indices_for(self, ordinals: np.ndarray) -> np.ndarray:
-        """validated rows of posting ordinals: an ordinal past the
-        docmap means postings/docmap divergence (e.g. mixed stale
-        segments), and indexing on would corrupt scores and
-        projections."""
-        if len(ordinals) and int(ordinals.max()) >= len(self.doc_ids):
-            raise ValueError(
-                "postings/docmap divergence: posting ordinal out of docmap range")
-        return ordinals
+        return checked_ordinals(ordinals, len(self.doc_ids))
 
     def external_ids(self, ordinals: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
         """(hi, lo) external ids of posting ordinals; hi is None in

@@ -227,6 +227,37 @@ def test_docmap_divergence_raises_wide(indexes, tmp_path):
         eng.search("def OR return")
 
 
+@pytest.mark.parametrize("bits", [64, 128])
+def test_merge_rejects_docmap_divergence(indexes, bits, tmp_path):
+    """merge translates each input's ordinals through that input's
+    docmap ids, with the same range check as the searcher"""
+    import shutil
+
+    from chearch_ray.pipelines.merge import merge_indexes
+
+    d = str(tmp_path / "idx")
+    shutil.copytree(indexes[bits, False], d)
+    _truncate_docmaps(d)
+    with pytest.raises(Exception, match="out of docmap range"):
+        merge_indexes([d], str(tmp_path / "merged"))
+
+
+def test_postings_helper_returns_external_ids(indexes):
+    """SegmentSearcher.postings gives 64-bit external ids; a wide id is
+    a (hi, lo) pair, so it refuses a wide index"""
+    from chearch_ray.state.searcher import SegmentSearcher
+
+    s = SegmentSearcher(indexes[64, False], 0, _cfg(64, False))
+    docs, tfs = s.postings("def")
+    ords, want_tfs = s._postings("def")
+    assert len(docs) > 10 and np.isin(docs, s.docmap.doc_ids).all()
+    assert docs.tolist() == s.docmap.doc_ids[ords].tolist()
+    assert tfs.tolist() == want_tfs.tolist()
+    wide = SegmentSearcher(indexes[128, False], 0, _cfg(128, False))
+    with pytest.raises(ValueError, match="doc_id_bits=128"):
+        wide.postings("def")
+
+
 def test_docmap_divergence_names_missing_ids(indexes, tmp_path):
     """postings finalize maps external ids to docmap ordinals, and a
     doc its segment's docmap lacks raises, naming the id"""
