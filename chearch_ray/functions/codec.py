@@ -13,7 +13,9 @@ Layout per term:
               ordinals of the segment).  Delta base restarts at
               each block boundary against the PREVIOUS block's last doc
               id, so any block can be decoded independently given the
-              block_last array (the skip index).
+              block_last array (the skip index).  A group's list
+              concatenates its segments' lists, each block decoding
+              against an explicit base (`EncodedPostings`).
   tf_blob   — varint stream of term frequencies, same block geometry.
   block_last    — uint64[] last doc id per block (skip pointers;
                   reference analogue: graduated pool blocks,
@@ -131,7 +133,17 @@ def varint_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarr
 class EncodedPostings:
     """One term's encoded postings.  The blobs are `bytes` from the
     encoders and read-only uint8 views into a part's flat buffers from
-    `PostingsPartReader`; every decoder takes either."""
+    `PostingsPartReader`; every decoder takes either.
+
+    Block geometry: one segment's list is ONE run of `block_size`
+    blocks (the last may be partial) whose deltas start from 0, and
+    `block_first` / `block_base` are None.  A list concatenated from
+    several segments' runs (a searcher group's row space) carries its
+    geometry explicitly: each block's first-posting index and the
+    value its first delta decodes against — a run's first block
+    decodes against the run's row offset, not the previous block's
+    last id, and each run's last block can be partial.  The block
+    helpers below are the one place either geometry is read."""
 
     count: int
     doc_blob: bytes | np.ndarray  # varint doc-id deltas (uint8 if an array)
@@ -140,6 +152,60 @@ class EncodedPostings:
     block_max_tf: np.ndarray  # uint32
     block_doc_off: np.ndarray  # int64 byte offset of block start in doc_blob
     block_tf_off: np.ndarray  # int64
+    block_first: np.ndarray | None = None  # int64 first posting index per block
+    block_base: np.ndarray | None = None  # uint64 delta base per block
+
+
+def block_span(enc: EncodedPostings, blocks: np.ndarray,
+               block_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first posting index, posting count) of each of `blocks`"""
+    blocks = np.asarray(blocks, dtype=np.int64)
+    if enc.block_first is None:
+        first = blocks * block_size
+        return first, np.minimum(block_size, enc.count - first)
+    first = enc.block_first[blocks]
+    nxt = blocks + 1
+    n_blocks = len(enc.block_first)
+    end = np.where(nxt < n_blocks, enc.block_first[np.minimum(nxt, n_blocks - 1)], enc.count)
+    return first, end - first
+
+
+def block_of_rows(enc: EncodedPostings, rows: np.ndarray, block_size: int) -> np.ndarray:
+    """the block holding each posting index in `rows`"""
+    rows = np.asarray(rows, dtype=np.int64)
+    if enc.block_first is None:
+        return rows // block_size
+    return np.searchsorted(enc.block_first, rows, side="right") - 1
+
+
+def block_bases(enc: EncodedPostings, blocks: np.ndarray) -> np.ndarray:
+    """uint64 value each of `blocks` decodes its deltas against"""
+    blocks = np.asarray(blocks, dtype=np.int64)
+    if enc.block_base is not None:
+        return enc.block_base[blocks]
+    return np.where(blocks > 0, enc.block_last[np.maximum(blocks - 1, 0)],
+                    np.uint64(0)).astype(np.uint64)
+
+
+def concat_geometry(block_last: np.ndarray, run_blocks: np.ndarray,
+                    run_first: np.ndarray, run_base: np.ndarray,
+                    block_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(block_first, block_base) of lists concatenated from single-run
+    lists of `block_size` blocks: run r holds `run_blocks[r]` blocks of
+    the flat `block_last` (already shifted), its first posting sits at
+    index `run_first[r]` of its list, and its first delta decodes
+    against `run_base[r]`.  Every other block decodes against the
+    previous block's last id, as in one run."""
+    run_blocks = np.asarray(run_blocks, dtype=np.int64)
+    start = np.zeros(len(run_blocks), dtype=np.int64)
+    np.cumsum(run_blocks[:-1], out=start[1:])
+    run_of = np.repeat(np.arange(len(run_blocks)), run_blocks)
+    within = np.arange(len(block_last), dtype=np.int64) - start[run_of]
+    first = within * block_size + np.asarray(run_first, dtype=np.int64)[run_of]
+    base = np.empty(len(block_last), dtype=np.uint64)
+    base[1:] = block_last[:-1]
+    base[start[run_blocks > 0]] = np.asarray(run_base, dtype=np.uint64)[run_blocks > 0]
+    return first, base
 
 
 def encode_postings(doc_ids: np.ndarray, tfs: np.ndarray, block_size: int = 128) -> EncodedPostings:
@@ -188,6 +254,13 @@ def decode_postings(enc: EncodedPostings, block_size: int = 128) -> tuple[np.nda
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
     deltas = varint_decode(enc.doc_blob, enc.count)
     tfs = varint_decode(enc.tf_blob, enc.count)
+    if enc.block_base is not None:
+        # one running sum over every run: each block's first delta is
+        # moved from its own base onto the previous block's last id
+        # (a no-op inside a run; uint64 wraparound-safe)
+        prev = np.zeros(len(enc.block_last), dtype=np.uint64)
+        prev[1:] = enc.block_last[:-1]
+        deltas[enc.block_first] += enc.block_base - prev
     return deltas.cumsum(out=deltas), tfs
 
 
@@ -275,15 +348,14 @@ def decode_block(
     n_blocks = len(enc.block_last)
     if not 0 <= block < n_blocks:
         raise IndexError(f"block {block} out of range ({n_blocks} blocks)")
-    count = min(block_size, enc.count - block * block_size)
+    count = int(block_span(enc, [block], block_size)[1][0])
     doc_start = int(enc.block_doc_off[block])
     doc_end = int(enc.block_doc_off[block + 1]) if block + 1 < n_blocks else len(enc.doc_blob)
     tf_start = int(enc.block_tf_off[block])
     tf_end = int(enc.block_tf_off[block + 1]) if block + 1 < n_blocks else len(enc.tf_blob)
     deltas = varint_decode(enc.doc_blob[doc_start:doc_end], count)
     tfs = varint_decode(enc.tf_blob[tf_start:tf_end], count)
-    base = enc.block_last[block - 1] if block > 0 else np.uint64(0)
-    doc_ids = base + np.cumsum(deltas, dtype=np.uint64)
+    doc_ids = block_bases(enc, [block])[0] + np.cumsum(deltas, dtype=np.uint64)
     return doc_ids, tfs
 
 
@@ -305,9 +377,9 @@ def decode_blocks(
     if len(blocks) == 0 or enc.count == 0:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
     n_blocks = len(enc.block_last)
-    counts = np.minimum(block_size, enc.count - blocks * block_size).astype(np.int64)
+    counts = block_span(enc, blocks, block_size)[1].astype(np.int64)
     total = int(counts.sum())
-    bases = np.where(blocks > 0, enc.block_last[np.maximum(blocks - 1, 0)], np.uint64(0))
+    bases = block_bases(enc, blocks)
 
     doc_buf = _as_u8(enc.doc_blob)
     tf_buf = _as_u8(enc.tf_blob)
@@ -330,9 +402,9 @@ def decode_blocks(
     deltas = varint_decode(doc_bytes, total)
     tfs = varint_decode(tf_bytes, total)
 
-    # segment-wise cumsum: rebase each block's running sum onto the
-    # previous block's last doc id (uint64 wraparound-safe: values only
-    # grow within a block)
+    # segment-wise cumsum: rebase each block's running sum onto its
+    # delta base (uint64 wraparound-safe: values only grow within a
+    # block)
     starts = np.concatenate([[0], np.cumsum(counts)])[:-1]
     cs = np.cumsum(deltas, dtype=np.uint64)
     base_before = cs[starts] - deltas[starts]

@@ -10,7 +10,7 @@ generalizes to the persistent engine as LIVE-DOCS semantics:
   concurrent reader never sees a partial tombstone.
 * `SegmentSearcher` loads the tombstone set ONCE at construction and
   masks candidates in every query mode; an engine opened BEFORE the
-  delete keeps serving its snapshot (searcher.py `_load_tombstones`).
+  delete keeps serving its snapshot (`load_tombstone_ids`).
 * BM25 corpus stats (df / N / avgdl) intentionally remain the
   manifest's until compaction — the standard live-docs contract
   (scores of surviving docs are unchanged by a delete).

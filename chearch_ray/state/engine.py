@@ -5,8 +5,9 @@ query to every locale and merges per-locale results
 (searchindex.chpl:86-168) becomes: fan the query out to the
 SearcherGroup actors that hold the doc-segments (`ray.get` on remote
 calls; an actorless engine calls one in-process group), each of which
-merges its segments' hits and projects metadata for its own top-k
-only, then a driver-side merge of <= groups * k rows — tiny.
+evaluates the query once over its segments' one row space and projects
+metadata for its own top-k only, then a driver-side merge of
+<= groups * k rows — tiny.
 
 Global BM25 consistency: idf is computed HERE from the global term
 stats (df summed across segments at build time) and shipped with the
@@ -243,10 +244,7 @@ class QueryEngine:
                 cls.remote(index_dir, segs, self.cfg) for segs in self.actor_segments
             ]
         else:
-            # per-segment searchers stay addressable (tests);
-            # queries go through one in-process group wrapping them
             self._group = SearcherGroup(index_dir, self.segments, self.cfg)
-            self._local = self._group.members
 
     def actor_nodes(self) -> list[str]:
         """Ray node id per searcher-group actor (placement diagnostic:
@@ -284,15 +282,14 @@ class QueryEngine:
         merge the groups' tables (collapsed on column `collapse` when
         given)."""
         k = self._k(k)
-        return self._merge_topk(
-            self._scatter("topk", method, k=k, collapse=collapse, **kw), k, collapse)
+        return self._merge_topk(self._scatter("topk", method, k=k, **kw), k, collapse)
 
     @staticmethod
     def _merge_topk(tables: list, k: int, collapse: str | None = None) -> pa.Table:
         """Global (score desc, doc key asc) top-k over the groups'
-        top-k tables.  Each group already merged and projected its own
-        members' hits (SearcherGroup.topk), so a single group's table
-        IS the answer."""
+        top-k tables.  Each group already ranked all its segments at
+        once (SearcherGroup.topk), so a single group's table IS the
+        answer."""
         if len(tables) == 1:
             return tables[0]
         merged = pa.concat_tables(tables)
@@ -848,12 +845,12 @@ class QueryEngine:
         contract, not OFFSET).
 
         Cursor-aware (ROADMAP #21): the cursor predicate is pushed
-        into the segments — each returns the top-k of its QUALIFYING
-        docs (SegmentSearcher._after_mask), with MaxScore/term/
-        conjunctive fast paths intact and thresholds built from
-        qualifying docs only — so the driver merges ≤ segments×k rows
+        into the searcher groups — each returns the top-k of its
+        QUALIFYING docs (SegmentSearcher._after_mask), with MaxScore/
+        term/conjunctive fast paths intact and thresholds built from
+        qualifying docs only — so the driver merges ≤ groups×k rows
         instead of every scored candidate.  Exact: the global
-        qualifying top-k is contained in the union of per-segment
+        qualifying top-k is contained in the union of per-group
         qualifying top-k, and cursor score equality is safe because
         scores are deterministic floats produced by this same
         engine."""
@@ -905,9 +902,9 @@ class QueryEngine:
         grouping, engine extension §2.10): the best-ranked doc per
         distinct `field` value, globally ordered (score desc, doc_id
         asc), top-k GROUPS.  `field` must be a docmap metadata column
-        (the projected result columns).  Segments ship only their
-        per-segment group bests (top-k of them), groups their
-        per-group ones, which is exact — see collapse_order."""
+        (the projected result columns).  Searcher groups ship only
+        their group bests (top-k of them), which is exact — see
+        collapse_order."""
         if field not in RESULT_META_COLUMNS:
             raise ValueError(
                 f"collapse field must be a docmap metadata column "

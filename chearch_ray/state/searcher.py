@@ -1,13 +1,22 @@
-"""Per-segment searcher: boolean set algebra + BM25 top-k scoring.
+"""Segment searcher: boolean set algebra + BM25 top-k scoring.
 
 Reference mapping: one PartitionManager per locale with a resident
 segment (searchindex.chpl:5-28) becomes a SegmentSearcher — a plain
 class designed to be wrapped in a Ray actor (state is loaded once in
 __init__, queries are method calls).  Queries scatter-gather across
-segments exactly like the reference's serial query iterator
+searcher groups like the reference's serial query iterator
 (searchindex.chpl:86-119); scoring is new capability the reference
 declares as TODO (docs/TODO.txt:9-10 "TF-IDF", "global document
 count").
+
+A SegmentSearcher holds one doc-segment or several as ONE row space:
+row off_j + o is ordinal o of its j-th segment (segment-major), and a
+term's postings are its segments' lists concatenated in that order
+(`PostingsPartReader`).  Every operator runs once over the whole
+space.  Rows are not in external-id order across segments, so every
+ordering breaks score ties on the EXTERNAL key, never on the row:
+`_tie_key` is the one source of tie keys (the row's rank in the
+searcher's external-key order, the identity for one segment).
 
 Scoring semantics (shared with oracle.py — rank identity requires
 bit-identical float64 ops):
@@ -38,8 +47,10 @@ import pyarrow as pa
 
 from chearch_ray import ast
 from chearch_ray.config import EngineConfig
-from chearch_ray.functions.codec import decode_blocks, decode_postings
-from chearch_ray.state.segment import DocmapReader, PostingsPartReader, docmap_rel_path, postings_rel_path
+from chearch_ray.functions.codec import block_span, decode_blocks, decode_postings
+from chearch_ray.pipelines.lifecycle import load_tombstone_ids
+from chearch_ray.state.segment import (DocmapReader, PostingsPartReader, _string_view,  # noqa: F401
+                                       docmap_rel_path, postings_rel_path)
 
 _EMPTY_U64 = np.empty(0, dtype=np.uint64)
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -49,8 +60,8 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 # intersection path runs instead.  256 MB covers a whole 2^24-doc
 # segment of short docs or ~10^5 long-doc candidates.
 _PHRASE_FLAG_BUDGET_BYTES = 256 << 20
-#: metadata-filter predicates cached per segment; an entry can hold one
-#: uint64 per segment doc (128 MiB at the 2^24-doc segment cap)
+#: metadata-filter predicates cached per searcher; an entry can hold one
+#: uint64 per doc (128 MiB per 2^24-doc segment)
 _FILTER_CACHE_MAX = 64
 
 RESULT_META_COLUMNS = ("repo", "path", "commit", "lang")
@@ -145,76 +156,52 @@ def column_codes(arr: "pa.ChunkedArray") -> np.ndarray:
     return enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
 
 
-#: result metadata schema, and its 64-bit-offset form
-_STRING_META = pa.schema([(c, pa.string()) for c in RESULT_META_COLUMNS])
-_LARGE_META = pa.schema([(c, pa.large_string()) for c in RESULT_META_COLUMNS])
-#: bytes one pa.string() array can address (32-bit offsets)
-_MAX_STRING_BYTES = 2**31 - 1
-
-
-def _string_view(col: "pa.LargeStringArray", off: int, n: int) -> "pa.Array | None":
-    """rows [off, off+n) of a large_string array as a pa.string() array
-    over the SAME data bytes, its offsets rebased to 32 bits.  None when
-    those rows hold more bytes than 32-bit offsets can address."""
-    import pyarrow.compute as pc
-
-    start = col.offset + off
-    offs = np.frombuffer(col.buffers()[1], dtype=np.int64)[start:start + n + 1]
-    base, end = int(offs[0]), int(offs[-1])
-    if end - base > _MAX_STRING_BYTES:
-        return None
-    data = col.buffers()[2]
-    data = pa.py_buffer(b"") if data is None else data.slice(base, end - base)
-    valid = pc.is_valid(col.slice(off, n)).buffers()[1] if col.null_count else None
-    return pa.Array.from_buffers(
-        pa.string(), n, [valid, pa.py_buffer((offs - base).astype(np.int32)), data])
-
-
-def _load_tombstones(index_dir: str, docmap) -> np.ndarray:
-    """sorted deleted-doc array for one segment, as docmap ordinals
-    (the posting-value space).  Empty when no tombstones exist."""
-    import glob as _glob
-
-    import pyarrow.parquet as _pq
-
-    paths = sorted(_glob.glob(os.path.join(index_dir, "tombstones", "*.parquet")))
-    if not paths or docmap is None:
-        return np.empty(0, dtype=np.uint64)
-    tables = [_pq.read_table(p) for p in paths]
-    t = pa.concat_tables(tables)
-    hi = t["doc_id_hi"].to_numpy() if "doc_id_hi" in t.column_names else None
-    ords = docmap.ordinals_for(hi, t["doc_id"].to_numpy())
-    return np.unique(ords[ords >= 0].astype(np.uint64))
-
-
 class SegmentSearcher:
-    """Holds one doc-segment: all its term-shard postings files + its
-    docmap.  Designed for `ray.remote(SegmentSearcher)` — everything
-    loads once per actor (reference: locale-resident index,
-    searchindex.chpl:30-53)."""
+    """Holds one doc-segment (`seg` an int) or several (`seg` a list)
+    as one row space: every term-shard postings file of each, fused per
+    shard, and their docmaps, concatenated.  Designed for
+    `ray.remote` — everything loads once per actor (reference:
+    locale-resident index, searchindex.chpl:30-53)."""
 
-    def __init__(self, index_dir: str, seg: int, cfg: EngineConfig):
+    def __init__(self, index_dir: str, seg: int | list[int], cfg: EngineConfig):
         self.cfg = cfg
-        self.seg = seg
-        self.shards: dict[int, PostingsPartReader] = {}
-        for shard in range(cfg.num_term_shards):
-            part = cfg.part_id(seg, shard)
-            path = os.path.join(index_dir, postings_rel_path(part))
-            if os.path.exists(path):
-                self.shards[shard] = PostingsPartReader(path, cfg)
-        docmap_path = os.path.join(index_dir, docmap_rel_path(seg))
-        self.docmap = DocmapReader(docmap_path) if os.path.exists(docmap_path) else None
+        self.segs = [int(seg)] if isinstance(seg, (int, np.integer)) else [int(s) for s in seg]
         # tombstones (pipelines.lifecycle.delete_docs): loaded ONCE at
         # construction — an engine opened before a delete keeps its
         # snapshot (the reference's MVCC-lite snapshot filter,
         # memorysegment.chpl:299, generalized to persistent segments).
         # BM25 stats (df/N/avgdl) intentionally stay those of the
         # manifest until compaction, the standard live-docs contract.
-        self.deleted = _load_tombstones(index_dir, self.docmap)
+        dead = load_tombstone_ids(index_dir)
+        docmaps, sizes, deleted = [], [], []
+        for s in self.segs:
+            path = os.path.join(index_dir, docmap_rel_path(s))
+            if not os.path.exists(path):
+                sizes.append(0)
+                continue
+            dm = DocmapReader(path)
+            if dead is not None:
+                # a segment's tombstones, as rows of the group's space
+                ords = dm.ordinals_for(dead["hi"], dead["lo"])
+                deleted.append(np.unique(ords[ords >= 0]).astype(np.uint64)
+                               + np.uint64(sum(sizes)))
+            sizes.append(len(dm.doc_ids))
+            docmaps.append(dm)
+        #: row offset of each segment, and the row count after the last
+        self.row_offsets = np.cumsum([0] + sizes).astype(np.uint64)
+        self.docmap = DocmapReader.concat(docmaps) if docmaps else None
+        self.deleted = np.concatenate(deleted) if deleted else _EMPTY_U64
+        self.shards: dict[int, PostingsPartReader] = {}
+        for shard in range(cfg.num_term_shards):
+            parts = [(path, off) for s, off in zip(self.segs, self.row_offsets.tolist())
+                     if os.path.exists(path := os.path.join(
+                         index_dir, postings_rel_path(cfg.part_id(s, shard))))]
+            if parts:
+                self.shards[shard] = PostingsPartReader(
+                    [p for p, _ in parts], cfg, [o for _, o in parts])
         self._decoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._enc_cache: dict[str, object] = {}
         self._blk_cache: dict[str, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
-        self._pos_cache: dict[str, list | None] = {}
         self._first_pos_cache: dict[str, np.ndarray] = {}
         self._filter_cache: dict[tuple, np.ndarray] = {}
         # decode telemetry: proves skip blocks actually skip (the
@@ -341,8 +328,7 @@ class SegmentSearcher:
             self.decode_stats["blocks_decoded"] += len(miss)
             d, t = decode_blocks(enc, miss, self.cfg.block_size)
             bounds = np.concatenate(
-                [[0], np.cumsum(np.minimum(self.cfg.block_size, enc.count - miss * self.cfg.block_size))]
-            ).astype(np.int64)
+                [[0], np.cumsum(block_span(enc, miss, self.cfg.block_size)[1])]).astype(np.int64)
             for i, b in enumerate(miss.tolist()):
                 cache[b] = (d[bounds[i] : bounds[i + 1]], t[bounds[i] : bounds[i + 1]])
         if sum(len(c) for c in self._blk_cache.values()) > 1 << 16:
@@ -426,6 +412,13 @@ class SegmentSearcher:
         b = self._eval_sets(node.b)
         return np.union1d(a, b)
 
+    def _tie_key(self, rows: np.ndarray) -> np.ndarray:
+        """The ONE source of score-tie keys: each row's rank in external
+        key order.  Rows of several segments are not in external-id
+        order, so a tie broken on the rows themselves would pick the
+        wrong winners."""
+        return self.docmap.tie_rank(rows)
+
     def _not_deleted(self, docs: np.ndarray) -> np.ndarray:
         """boolean keep-mask over `docs` against the tombstone set."""
         if len(self.deleted) == 0 or len(docs) == 0:
@@ -494,30 +487,33 @@ class SegmentSearcher:
         """True where (score, external doc key) sorts STRICTLY after
         the cursor in the global (score desc, key asc) order — the
         search_after qualification predicate, applied inside the
-        segment so per-segment top-k and MaxScore thresholds run over
+        searcher so its top-k and MaxScore thresholds run over
         qualifying docs only.  Cursor scores are deterministic floats
         produced by this same engine, so float equality at the tie
         boundary is exact.  `after` is (score, doc_id) in 64-bit mode
         and (score, doc_id_hi, doc_id) in doc_id_bits=128 mode; the
-        (rare) score-tie rows compare their docmap keys with the
-        cursor's."""
+        (rare) score-tie rows qualify when their external key sorts
+        after the cursor's."""
         s_c = float(after[0])
         mask = scores < s_c
         eq = np.flatnonzero(scores == s_c)
         if len(eq):
-            dm = self.docmap
-            key_c = dm.key([after[1]] if len(after) == 3 else None, [after[-1]])[0]
-            mask[eq] = dm._keys[dm._indices_for(docs[eq])] > key_c
+            cut = self.docmap.rank_cut([after[1]] if len(after) == 3 else None, [after[-1]])
+            mask[eq] = self._tie_key(docs[eq]) >= cut
         return mask
 
     def search_boolean(self, node: ast.Node, limit: int | None = None,
                        with_meta: bool = True, flt: dict | None = None) -> pa.Table:
-        """Doc-level boolean retrieval, ascending doc_id, capped at
-        partition_limit per segment (reference search.chpl:17).  `flt`
-        restricts the match set by docmap metadata before the cap."""
+        """Doc-level boolean retrieval, capped at partition_limit per
+        segment (reference search.chpl:17): each segment's ascending
+        doc_id run, in segment order.  `flt` restricts the match set by
+        docmap metadata before the cap."""
         docs = self._candidates(node, flt)
         cap = limit if limit is not None else self.cfg.partition_limit
-        docs = docs[:cap]
+        # rows are segment-major: keep the first `cap` of each segment
+        first = np.searchsorted(docs, self.row_offsets[:-1])
+        seg = np.searchsorted(self.row_offsets, docs, side="right") - 1
+        docs = docs[np.arange(len(docs)) - first[seg] < cap]
         return self._project(docs, scores=None, with_meta=with_meta)
 
     def count(self, node: ast.Node, flt: dict | None = None) -> int:
@@ -557,7 +553,7 @@ class SegmentSearcher:
         # the `by` column's type comes from the docmap schema — a
         # hardcoded string would break the engine's concat when a
         # zero-match segment meets typed partials on a numeric facet
-        by_type = (self.docmap.table.schema.field(by).type
+        by_type = (self.docmap.schema.field(by).type
                    if self.docmap is not None else pa.string())
         empty = pa.table({
             by: pa.array([], type=by_type),
@@ -672,8 +668,8 @@ class SegmentSearcher:
     ) -> pa.Table:
         """BM25 top-k.  `after` = cursor pagination: restrict to docs
         sorting strictly after (score, key) in the global order (see
-        _after_mask) and return the segment's top-k of THAT set — the
-        global merge over per-segment qualifying top-k is exact, so
+        _after_mask) and return the searcher's top-k of THAT set — the
+        global merge over per-group qualifying top-k is exact, so
         page-n queries keep every fast path instead of the exhaustive
         all-candidates gather.
 
@@ -732,7 +728,7 @@ class SegmentSearcher:
             if after is not None:
                 keep = self._after_mask(docs, scores, after)
                 docs, scores = docs[keep], scores[keep]
-            order = topk_order(scores, docs, k)
+            order = topk_order(scores, self._tie_key(docs), k)
             return self._project(docs[order], scores=scores[order], with_meta=with_meta)
         if allowed is None and isinstance(node, ast.And) and ast.is_conjunctive(node):
             # pure AND: evaluate and score in one pass — the tfs found
@@ -759,7 +755,7 @@ class SegmentSearcher:
             if after is not None:
                 keep = self._after_mask(docs, scores, after)
                 docs, scores = docs[keep], scores[keep]
-            order = topk_order(scores, docs, k)
+            order = topk_order(scores, self._tie_key(docs), k)
             return self._project(docs[order], scores=scores[order], with_meta=with_meta)
         candidates = self._candidates(node)
         if allowed is not None:
@@ -770,7 +766,7 @@ class SegmentSearcher:
         if after is not None:
             keep = self._after_mask(candidates, scores, after)
             candidates, scores = candidates[keep], scores[keep]
-        order = topk_order(scores, candidates, k)
+        order = topk_order(scores, self._tie_key(candidates), k)
         return self._project(candidates[order], scores=scores[order], with_meta=with_meta)
 
     def _score_union(
@@ -858,7 +854,7 @@ class SegmentSearcher:
             lengths, flat = res
             starts = np.concatenate([[0], np.cumsum(lengths)])[:-1]
             first = flat[starts]
-            # positions are immutable per segment; memoize the firsts
+            # positions are immutable per searcher; memoize the firsts
             # (one int64 per posting) so repeat span-first queries on
             # a hot term skip the flat gather entirely
             if len(self._first_pos_cache) > 1024:
@@ -880,7 +876,7 @@ class SegmentSearcher:
             tfs.astype(np.float64), self.docmap.lengths_for(docs),
             idfs.get(term, 0.0), avgdl, cfg.k1, cfg.b,
         )
-        order = topk_order(scores, docs, k)
+        order = topk_order(scores, self._tie_key(docs), k)
         return self._project(docs[order], scores=scores[order],
                              with_meta=with_meta)
 
@@ -931,7 +927,7 @@ class SegmentSearcher:
             # buffered loop
             maxs[at] = np.maximum(maxs[at], comp)
         scores = maxs + tie * (sums - maxs)
-        order = topk_order(scores, docs, k)
+        order = topk_order(scores, self._tie_key(docs), k)
         return self._project(docs[order], scores=scores[order],
                              with_meta=with_meta)
 
@@ -956,7 +952,7 @@ class SegmentSearcher:
         if len(docs) == 0:
             return self._project(docs, scores=np.empty(0),
                                  with_meta=with_meta)
-        order = topk_order(scores, docs, k)
+        order = topk_order(scores, self._tie_key(docs), k)
         return self._project(docs[order], scores=scores[order],
                              with_meta=with_meta)
 
@@ -967,8 +963,8 @@ class SegmentSearcher:
         """Field-collapsed BM25 (Lucene's collapse, engine extension
         §2.10): group the query's candidates by a docmap metadata
         column, keep each group's best-ranked doc under the global
-        result order (score desc, doc asc), and return this segment's
-        top-k group representatives.  Shipping only per-segment group
+        result order (score desc, doc asc), and return this searcher's
+        top-k group representatives.  Shipping only per-group group
         bests is EXACT for the global collapsed top-k (collapse_order's
         argument)."""
         if self.docmap is None:
@@ -989,7 +985,7 @@ class SegmentSearcher:
             return self._project(cands, scores=np.empty(0),
                                  with_meta=with_meta)
         codes = column_codes(self.docmap.column_arrow_for(cands, field))
-        sel = collapse_order(codes, scores, cands, k)
+        sel = collapse_order(codes, scores, self._tie_key(cands), k)
         return self._project(cands[sel], scores=scores[sel],
                              with_meta=with_meta)
 
@@ -1149,11 +1145,11 @@ class SegmentSearcher:
             kth = None
             if cand_q is None:
                 if len(cand) >= k:
-                    kth = float(cand_scores[topk_order(cand_scores, cand, k)[-1]])
+                    kth = float(cand_scores[topk_order(cand_scores, self._tie_key(cand), k)[-1]])
             else:
                 sub = np.flatnonzero(cand_q)
                 if len(sub) >= k:
-                    sel = topk_order(cand_scores[sub], cand[sub], k)
+                    sel = topk_order(cand_scores[sub], self._tie_key(cand[sub]), k)
                     kth = float(cand_scores[sub[sel[-1]]])
             if kth is not None and remaining_ub < kth:
                 break
@@ -1194,25 +1190,19 @@ class SegmentSearcher:
                     cand_q = np.concatenate([cand_q, new_q])[srt]
         if cand_q is not None:
             sub = np.flatnonzero(cand_q)
-            sel = topk_order(cand_scores[sub], cand[sub], k)
+            sel = topk_order(cand_scores[sub], self._tie_key(cand[sub]), k)
             return cand[sub][sel], cand_scores[sub][sel]
-        sel = topk_order(cand_scores, cand, k)
+        sel = topk_order(cand_scores, self._tie_key(cand), k)
         return cand[sel], cand_scores[sel]
 
     # -------------------------------------------------------- projection
     def _project(self, doc_ids: np.ndarray, scores: np.ndarray | None,
-                 with_meta: bool | None = True):
-        """The single exit of every result-returning operator.
-        `with_meta=None` hands the raw hits — posting values (docmap
-        ordinals) and scores, numpy — to SearcherGroup, which
-        merges its members' hits and projects metadata ONCE for the
-        final winners (late materialization).  Otherwise an Arrow
-        table: the (doc_id_hi,) doc_id[, score] ids, plus the docmap
-        metadata columns when `with_meta` is True."""
-        if with_meta is None:
-            return doc_ids, scores
-        # posting values are segment-local ordinals; results carry the
-        # EXTERNAL ids
+                 with_meta: bool = True) -> pa.Table:
+        """The single exit of every result-returning operator: an Arrow
+        table of the (doc_id_hi,) doc_id[, score] ids, plus the docmap
+        metadata columns when `with_meta` is True — one take, for the
+        rows the operator kept (late materialization)."""
+        # posting values are docmap rows; results carry the EXTERNAL ids
         cols: dict = {}
         if self.docmap is not None and len(doc_ids):
             hi, lo = self.docmap.external_ids(doc_ids)
@@ -1228,12 +1218,11 @@ class SegmentSearcher:
             # id-only projection for callers that discard the metadata
             # columns (the 13-byte wire records carry ids alone) —
             # meta_for's string-table take is the result path's single
-            # biggest fixed cost per segment
+            # biggest fixed cost
             return pa.table(cols)
         if self.docmap is not None and len(doc_ids):
-            meta = self.docmap.meta_for(doc_ids)
-            for name in RESULT_META_COLUMNS:
-                cols[name] = meta[name]
+            meta = self.docmap.meta_for(doc_ids, RESULT_META_COLUMNS)
+            cols.update(zip(meta.column_names, meta.columns))
         else:
             for name in RESULT_META_COLUMNS:
                 cols[name] = pa.array([""] * len(doc_ids), type=pa.string())
@@ -1251,33 +1240,21 @@ class SegmentSearcher:
         idx = self._posting_index(term, doc_id, doc_hi)
         return [] if pos is None or idx is None else pos[idx]
 
-    def term_positions(self, term: str) -> list | None:
-        """all position lists of a term (aligned with its posting
-        order), decoded once and cached — phrase queries probe this per
-        candidate doc, so the per-call .as_py() of the whole nested
-        column must not repeat (it made phrases O(C*T*P))."""
-        if term in self._pos_cache:
-            return self._pos_cache[term]
-        reader = self.shards.get(self._sharder.shard_of(term))
-        out = reader.positions(term) if reader is not None else None
-        if len(self._pos_cache) > 1024:
-            self._pos_cache.clear()
-        self._pos_cache[term] = out
-        return out
-
     def first_position(self, term: str, doc_id: int, doc_hi: int | None = None):
         """First token position of `term` in `doc_id`, 0 when the doc
         matches but positions are not stored, None when the doc does
         not contain the term (serving-layer helper).  In wide-id mode
-        pass the external pair (`doc_hi`, `doc_id`)."""
+        pass the external pair (`doc_hi`, `doc_id`).  Reads that one
+        posting's positions (`positions_rows_flat`), not the term's."""
         i = self._posting_index(term, doc_id, doc_hi)
         if i is None:
             return None
-        all_pos = self.term_positions(term)
-        if not all_pos:
+        reader = self.shards[self._sharder.shard_of(term)]
+        res = reader.positions_rows_flat(term, np.array([i], dtype=np.int64))
+        if res is None:
             return 0
-        pos = all_pos[i]
-        return int(pos[0]) if pos else 0
+        lengths, flat = res
+        return int(flat[0]) if lengths[0] else 0
 
     # --------------------------------------------------------- phrase mode
     def search_phrase(
@@ -1362,6 +1339,7 @@ class SegmentSearcher:
         whatever the tie-break).  Returns (docs, scores) of the first
         <= k survivors."""
         n = len(candidates)
+        ties = self._tie_key(candidates)
         rank: np.ndarray | None = None
         rank_len = 0  # leading entries of `rank` that are exact
         kept_docs: list[np.ndarray] = []
@@ -1375,12 +1353,12 @@ class SegmentSearcher:
             need = min(n, start + chunk)
             if need > rank_len:
                 if need * 4 >= n:
-                    rank, rank_len = np.lexsort((candidates, -scores)), n
+                    rank, rank_len = np.lexsort((ties, -scores)), n
                 else:
                     part = np.argpartition(-scores, need - 1)[:need]
                     boundary = scores[part].min()
                     ii = np.flatnonzero(scores >= boundary)
-                    order = np.lexsort((candidates[ii], -scores[ii]))
+                    order = np.lexsort((ties[ii], -scores[ii]))
                     rank, rank_len = ii[order], len(ii)
             sel = rank[start : start + chunk]
             rows = verify(candidates[sel])
@@ -1410,11 +1388,11 @@ class SegmentSearcher:
         self.decode_stats["blocks_total"] += len(enc.block_last)
         needed = np.unique(blocks)
         concat_docs, _ = self._decode_blocks_cached(term, enc, needed.astype(np.int64))
-        counts = np.minimum(self.cfg.block_size, enc.count - needed * self.cfg.block_size)
+        first, counts = block_span(enc, needed, self.cfg.block_size)
         bounds = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         pos = np.searchsorted(concat_docs, docs)
         which = np.searchsorted(bounds, pos, side="right") - 1
-        return needed[which] * self.cfg.block_size + (pos - bounds[which])
+        return first[which] + (pos - bounds[which])
 
     def _phrase_survivor_rows(self, terms: list[str], candidates: np.ndarray) -> np.ndarray:
         """Vectorized phrase verification over the candidate set: for
@@ -1657,7 +1635,7 @@ class SegmentSearcher:
             return self._project(candidates, scores=np.empty(0), with_meta=with_meta)
         if len(terms) == 1:
             # one distinct term: every candidate trivially matches
-            order = topk_order(scores, candidates, k)
+            order = topk_order(scores, self._tie_key(candidates), k)
             return self._project(candidates[order], scores=scores[order],
                                  with_meta=with_meta)
         docs, doc_scores = self._lazy_rank_verify(
@@ -1735,66 +1713,27 @@ class SearcherGroup:
     """N doc-segments resident in ONE actor (VERDICT r01 item 8): at
     10^12 docs the 2^24-doc segment cap implies ~6e4 segments
     (config.py scale note) — one actor per segment would mean 6e4
-    actors.  A group holds several SegmentSearchers; QueryEngine fans
-    out to groups instead of segments, so actor count is bounded by
-    `max_actors` regardless of num_segments.  An actorless engine holds
-    one in-process group over every segment, so both modes share this
-    merge.
+    actors.  QueryEngine fans out to groups instead of segments, so
+    actor count is bounded by `max_actors` regardless of num_segments.
+    An actorless engine holds one in-process group over every segment.
 
-    The call surface is generic — the members' operator is named by
+    A group holds ONE SegmentSearcher over all its segments, a single
+    row space with one copy of the postings, so every operator runs
+    once per group: no per-segment searchers, no merge of their hits.
+
+    The call surface is generic — the searcher's operator is named by
     string, like the reference's one `query` entry per segment
     (search.chpl:40-60) under one scatter-gather merge point
     (searchindex.chpl:109-112):
 
-    * `topk(name, k, …)`: a top-k operator, merged here (`topk_many`
-      runs a batch of them in one call);
-    * `concat(name, …)`: the members' tables concatenated (boolean,
-      explain, facets);
-    * `count`, `first_position`, `node_id`.
-
-    Top-k operators are late-materialized: members hand their winners
-    up as numpy hits (`_project(with_meta=None)`), the group merges
-    them with topk_order and projects docmap metadata for the k final
-    winners only, with ONE take against its members' metadata columns
-    concatenated once here — instead of every member projecting k rows
-    of which the merge throws (members-1)·k away."""
+    * `topk(name, k, …)`: a top-k operator's table, metadata projected
+      for its k winners only (`topk_many` runs a batch in one call);
+    * `concat(name, …)`: an operator's table over the group's segments,
+      segment-major (boolean, explain, facets);
+    * `count`, `first_position`, `node_id`."""
 
     def __init__(self, index_dir: str, segs: list[int], cfg: EngineConfig):
-        self.cfg = cfg
-        self.segs = list(segs)
-        self.members = [SegmentSearcher(index_dir, s, cfg) for s in segs]
-        # posting values are segment-local ordinals that collide across
-        # members — hits resolve to external ids before the merge, which
-        # tie-breaks on key16 in wide mode like the engine
-        self._wide = cfg.doc_id_bits == 128
-        docmaps = [m.docmap for m in self.members if m.docmap is not None]
-        sizes = [0 if m.docmap is None else len(m.docmap.doc_ids) for m in self.members]
-        self._offsets = np.cumsum([0] + sizes[:-1]).astype(np.int64)
-        # one contiguous copy: take on a multi-chunk column would
-        # concatenate every chunk per call.  Combined with 64-bit
-        # offsets, so no column overflows; a column that fits 32-bit
-        # offsets is then viewed back as pa.string() (the winners need
-        # no cast), a bigger one stays large_string
-        big = (pa.concat_tables(
-            [d.table.select(list(RESULT_META_COLUMNS)) for d in docmaps]
-        ) if docmaps else _LARGE_META.empty_table()).cast(_LARGE_META).combine_chunks()
-        big = [c.chunk(0) if c.num_chunks else pa.array([], pa.large_string())
-               for c in big.columns]
-        views = [_string_view(c, 0, len(c)) for c in big]
-        self._meta = pa.table(dict(zip(RESULT_META_COLUMNS, [
-            c if v is None else v for c, v in zip(big, views)])))
-        # members' docmaps read their metadata columns from 32-bit views
-        # of that copy, so the strings are held once, not twice (a
-        # member too big for a view keeps its own column)
-        for m, off in zip(self.members, self._offsets.tolist()):
-            if m.docmap is None or len(m.docmap.table) == 0:
-                continue
-            t = m.docmap.table
-            for name, col in zip(RESULT_META_COLUMNS, big):
-                view = _string_view(col, off, len(t))
-                if view is not None:
-                    t = t.set_column(t.schema.get_field_index(name), name, view)
-            m.docmap.table = t
+        self.searcher = SegmentSearcher(index_dir, list(segs), cfg)
 
     def node_id(self) -> str:
         """The Ray node hosting this group — the 'locale id' analogue;
@@ -1804,54 +1743,10 @@ class SearcherGroup:
         return ray.get_runtime_context().get_node_id()
 
     # --------------------------------------------------------- top-k
-    def topk(self, name: str, k: int, with_meta: bool = True,
-             collapse: str | None = None, **kw) -> pa.Table:
-        """members' numpy hits of SegmentSearcher operator `name`
-        (keyword arguments `kw`) -> this group's top-k (or top-k
-        collapsed on metadata column `collapse`) as a table."""
-        lo, hi, rows, scores = [], [], [], []
-        for m, off in zip(self.members, self._offsets):
-            docs, s = getattr(m, name)(k=k, with_meta=None, **kw)
-            if len(docs) == 0:
-                continue
-            # winners only, with the postings/docmap divergence check
-            ext_hi, ext_lo = m.docmap.external_ids(docs)
-            lo.append(ext_lo)
-            hi.append(ext_hi)
-            rows.append(docs.astype(np.int64) + off)
-            scores.append(s)
-
-        def cat(xs: list, dtype) -> np.ndarray:
-            return np.concatenate(xs).astype(dtype, copy=False) if xs else np.empty(0, dtype)
-
-        lo, rows, scores = cat(lo, np.uint64), cat(rows, np.int64), cat(scores, np.float64)
-        if self._wide:
-            from chearch_ray.functions.hashing import key16
-
-            hi = cat(hi, np.uint64)
-            key = key16(hi, lo)
-        else:
-            key = lo
-        if collapse is None:
-            meta = None
-            sel = topk_order(scores, key, k)
-        else:
-            # the members' group bests need their metadata to dedup:
-            # project all of them (<= members·k rows), keep the winners
-            meta = self._meta.take(pa.array(rows, type=pa.int64()))
-            sel = collapse_order(column_codes(meta[collapse]), scores, key, k)
-        cols = {"doc_id_hi": pa.array(hi[sel], type=pa.uint64())} if self._wide else {}
-        cols["doc_id"] = pa.array(lo[sel], type=pa.uint64())
-        cols["score"] = pa.array(scores[sel], type=pa.float64())
-        if with_meta:
-            # one docmap metadata take per query: the winners' rows
-            # here, or collapse's candidate rows above
-            meta = (self._meta.take(pa.array(rows[sel], type=pa.int64()))
-                    if meta is None else meta.take(pa.array(sel, type=pa.int64())))
-            if meta.schema != _STRING_META:
-                meta = meta.cast(_STRING_META)
-            cols.update(zip(meta.column_names, meta.columns))
-        return pa.table(cols)
+    def topk(self, name: str, k: int, with_meta: bool = True, **kw) -> pa.Table:
+        """SegmentSearcher top-k operator `name` (keyword arguments
+        `kw`) over the group: its k winners as a table."""
+        return getattr(self.searcher, name)(k=k, with_meta=with_meta, **kw)
 
     def topk_many(self, name: str, k: int, calls: list[dict]) -> list[pa.Table]:
         """`topk` once per keyword set in `calls`: a batch of queries in
@@ -1866,18 +1761,14 @@ class SearcherGroup:
         return self.topk("search_bm25", k, with_meta, node=node, idfs=idfs, avgdl=avgdl,
                          flt=flt)
 
-    # ------------------------------------------------ concatenating
+    # ------------------------------------------------ whole match sets
     def concat(self, name: str, *args, **kw) -> pa.Table:
-        """SegmentSearcher operator `name` on every member, tables
-        concatenated in member order."""
-        return pa.concat_tables([getattr(m, name)(*args, **kw) for m in self.members])
+        """SegmentSearcher operator `name` over the group's segments:
+        one table, its rows segment-major."""
+        return getattr(self.searcher, name)(*args, **kw)
 
     def count(self, node, flt=None) -> int:
-        return sum(mem.count(node, flt=flt) for mem in self.members)
+        return self.searcher.count(node, flt=flt)
 
     def first_position(self, term: str, doc_id: int, doc_hi: int | None = None):
-        seg = int(doc_id) % self.cfg.num_segments
-        for m in self.members:
-            if m.seg == seg:
-                return m.first_position(term, doc_id, doc_hi=doc_hi)
-        return None
+        return self.searcher.first_position(term, doc_id, doc_hi=doc_hi)

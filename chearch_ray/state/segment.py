@@ -44,7 +44,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from chearch_ray.config import EngineConfig
-from chearch_ray.functions.codec import EncodedPostings
+from chearch_ray.functions.codec import (EncodedPostings, block_of_rows, block_span,
+                                         concat_geometry)
 
 #: 2: 64-bit postings hold docmap row ordinals, as wide ones always
 #: did (version 1 stored the hashed external ids in 64-bit postings)
@@ -265,8 +266,9 @@ def _flat_column(col: "pa.ChunkedArray") -> tuple[np.ndarray, np.ndarray]:
     read-only."""
     parts = []
     for c in col.chunks:
-        if pa.types.is_binary(c.type):
-            offs = np.frombuffer(c.buffers()[1], dtype=np.int32)[c.offset : c.offset + len(c) + 1]
+        if pa.types.is_binary(c.type) or pa.types.is_large_binary(c.type):
+            width = np.int64 if pa.types.is_large_binary(c.type) else np.int32
+            offs = np.frombuffer(c.buffers()[1], dtype=width)[c.offset : c.offset + len(c) + 1]
             data = c.buffers()[2]
             vals = np.empty(0, np.uint8) if data is None else np.frombuffer(data, dtype=np.uint8)
         else:
@@ -291,40 +293,120 @@ def _row(col: tuple[np.ndarray, np.ndarray], i: int) -> np.ndarray:
     return vals[offs[i] : offs[i + 1]]
 
 
+#: per-term columns a postings part holds as flat buffers
+_FLAT_COLUMNS = ("doc_blob", "tf_blob", "block_last", "block_max_tf", "block_doc_off",
+                 "block_tf_off", "pos_blob", "pos_off")
+
+
+def _fuse_parts(tables: list[pa.Table], row_offsets: list[int], block_size: int):
+    """One term shard's postings parts, one per segment in segment
+    order, fused into one list per term over the group's row space ->
+    (terms, counts, flat columns, flat block_first, flat block_base).
+
+    A term's list is its segments' lists in segment order, values
+    shifted by each segment's row offset.  No blob byte is rewritten:
+    the parts' rows sort by (term, segment), one Arrow take gathers
+    every column, and the interior row offsets drop.  `block_last`
+    gains the row offset, and the per-block byte offsets are rebased
+    past the earlier runs of their term.  No per-term Python loop."""
+    import pyarrow.compute as pc
+
+    big = pa.concat_tables(tables)
+    enc = pc.dictionary_encode(big["term"].combine_chunks())
+    codes = enc.indices.to_numpy()
+    # parts are concatenated in segment order, so a stable sort by term
+    # keeps each term's runs in segment order
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    run_start = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    run_len = np.diff(np.append(run_start, len(order)))
+    terms = enc.dictionary.take(pa.array(codes[run_start])).to_numpy(
+        zero_copy_only=False).tolist()
+    names = [c for c in _FLAT_COLUMNS if c in big.column_names]
+    # 64-bit blob offsets: a group's shard may pass 2 GiB
+    taken = pa.table([big[c].cast(pa.large_binary()) if pa.types.is_binary(big[c].type)
+                      else big[c] for c in names], names=names).take(pa.array(order))
+    cols, row_offs = {}, {}
+    for c in names:
+        vals, row_offs[c] = _flat_column(taken[c])
+        cols[c] = (vals, row_offs[c][np.append(run_start, len(order))])
+    block_offs = cols["block_last"][1]
+    n_blocks = np.diff(row_offs["block_last"])
+    row_of_block = np.repeat(np.arange(len(order)), n_blocks)
+    seg = np.repeat(np.arange(len(tables)), [len(t) for t in tables])[order]
+    off = np.asarray(row_offsets, dtype=np.uint64)[seg]
+    block_last = cols["block_last"][0] + off[row_of_block]
+    cols["block_last"] = (block_last, block_offs)
+    for c, blob in (("block_doc_off", "doc_blob"), ("block_tf_off", "tf_blob"),
+                    ("pos_off", "pos_blob")):
+        if c in cols:
+            # where each taken row starts inside its term's fused blob
+            offs = row_offs[blob]
+            within = (offs[:-1] - np.repeat(offs[run_start], run_len)).astype(np.int64)
+            cols[c] = (cols[c][0] + within[row_of_block], cols[c][1])
+    counts = big["count"].to_numpy()[order].astype(np.int64)
+    # each run's first posting index inside its term's list
+    before = np.cumsum(counts) - counts
+    first_post = before - np.repeat(before[run_start], run_len)
+    first, base = concat_geometry(block_last, n_blocks, first_post, off, block_size)
+    return (terms, np.add.reduceat(counts, run_start).astype(np.uint64), cols,
+            (first, block_offs), (base, block_offs))
+
+
 class PostingsPartReader:
-    """Loads one postings partition file into memory once (actor-side;
+    """Loads postings partition files into memory once (actor-side;
     reference analogue: the locale-resident term hash table,
     searchindex.chpl:25-53) and serves per-term EncodedPostings.
+
+    One path serves one (doc-segment, term-shard) part.  Several paths
+    — one term shard of several segments, with their docmap row
+    offsets — serve the group's fused lists (`_fuse_parts`): each
+    term's postings over the group's one row space, built once here.
 
     Every per-term column is held as one flat numpy buffer plus row
     offsets (`_flat_column`, the reference's flat pools addressed by
     pool index, memorysegment.chpl:86-122): serving a term is a few
     slices, with no Arrow scalar built on any query path."""
 
-    def __init__(self, path: str, cfg: EngineConfig):
-        table = pq.read_table(path)
-        if "positions" in table.column_names and "pos_blob" not in table.column_names:
-            raise ValueError(
-                f"{path} stores positions as a nested list column, a layout this "
-                "version cannot read; rebuild the index"
-            )
+    def __init__(self, path: str | list[str], cfg: EngineConfig,
+                 row_offsets: list[int] | None = None):
+        paths = [path] if isinstance(path, str) else list(path)
+        tables = [pq.read_table(p) for p in paths]
+        for p, table in zip(paths, tables):
+            if "positions" in table.column_names and "pos_blob" not in table.column_names:
+                raise ValueError(
+                    f"{p} stores positions as a nested list column, a layout this "
+                    "version cannot read; rebuild the index"
+                )
+        row_offsets = [0] * len(paths) if row_offsets is None else list(row_offsets)
+        keep = [i for i, t in enumerate(tables) if len(t)] or [0]
+        tables, row_offsets = [tables[i] for i in keep], [row_offsets[i] for i in keep]
         self.block_size = cfg.block_size
         self._max_pos = cfg.max_positions_per_doc
-        # via numpy: to_pylist boxes one Arrow scalar per term
-        terms = table["term"].to_numpy(zero_copy_only=False).tolist()
+        has_pos = "pos_blob" in tables[0].column_names
+        #: explicit block geometry of fused lists; None for one part
+        self._block_first = self._block_base = None
+        if len(tables) == 1 and (row_offsets[0] == 0 or len(tables[0]) == 0):
+            table = tables[0]
+            # via numpy: to_pylist boxes one Arrow scalar per term
+            terms = table["term"].to_numpy(zero_copy_only=False).tolist()
+            self._count = table["count"].to_numpy()
+            cols = {c: _flat_column(table[c]) for c in _FLAT_COLUMNS
+                    if c in table.column_names}
+        else:
+            terms, self._count, cols, self._block_first, self._block_base = _fuse_parts(
+                tables, row_offsets, cfg.block_size)
         self._terms = dict(zip(terms, range(len(terms))))
-        self._count = table["count"].to_numpy()
-        self._doc_blob = _flat_column(table["doc_blob"])
-        self._tf_blob = _flat_column(table["tf_blob"])
-        self._block_last = _flat_column(table["block_last"])
-        self._block_max_tf = _flat_column(table["block_max_tf"])
-        self._block_doc_off = _flat_column(table["block_doc_off"])
-        self._block_tf_off = _flat_column(table["block_tf_off"])
+        self._doc_blob = cols["doc_blob"]
+        self._tf_blob = cols["tf_blob"]
+        self._block_last = cols["block_last"]
+        self._block_max_tf = cols["block_max_tf"]
+        self._block_doc_off = cols["block_doc_off"]
+        self._block_tf_off = cols["block_tf_off"]
         #: packed positions: per-term pos_blob + per-block pos_off
         #: (absent when the index stores no positions)
-        has_pos = "pos_blob" in table.column_names
-        self._pos_blob = _flat_column(table["pos_blob"]) if has_pos else None
-        self._pos_off = _flat_column(table["pos_off"]) if has_pos else None
+        self._pos_blob = cols["pos_blob"] if has_pos else None
+        self._pos_off = cols["pos_off"] if has_pos else None
         self._pos_decoded: dict[str, "pa.ListArray"] = {}
         #: per-(term, skip-block) decoded positions: (flat uint32 vals,
         #: block-local int64 offsets).  The lazy per-block path is hit
@@ -376,6 +458,8 @@ class PostingsPartReader:
             block_max_tf=_row(self._block_max_tf, i),
             block_doc_off=_row(self._block_doc_off, i),
             block_tf_off=_row(self._block_tf_off, i),
+            block_first=None if self._block_first is None else _row(self._block_first, i),
+            block_base=None if self._block_base is None else _row(self._block_base, i),
         )
 
     def _pos_counts(self, term: str) -> np.ndarray:
@@ -437,7 +521,7 @@ class PostingsPartReader:
         rows = np.asarray(rows, dtype=np.int64)
         counts = self._pos_counts(term)
         n_post = len(counts)
-        full = self._full_positions_if_cheap(term, rows, n_post)
+        full = self._full_positions_if_cheap(term, rows)
         if full is not None:
             if len(rows) == n_post and (
                 n_post == 0
@@ -453,24 +537,25 @@ class PostingsPartReader:
                 # equal length alone does not imply identity.
                 return full
             return full.take(pa.array(rows, type=pa.int64()))
-        l, flat = self._positions_rows_blocks(term, rows, counts, n_post)
+        l, flat = self._positions_rows_blocks(term, rows, counts)
         return pa.ListArray.from_arrays(
             pa.array(np.concatenate([[0], np.cumsum(l)]).astype(np.int32),
                      type=pa.int32()),
             pa.array(flat, type=pa.uint32()),
         )
 
-    def _full_positions_if_cheap(self, term: str, rows: np.ndarray,
-                                 n_post: int):
+    def _full_positions_if_cheap(self, term: str, rows: np.ndarray):
         """the cached full decode when it exists / is cheaper than
         touching most skip blocks anyway (the gate is on BLOCKS
         touched, not row count: a few hundred rank-ordered scattered
         candidates touch most blocks of a hot term, so per-block decode
         would cost nearly a full decode per call)."""
         full = self._pos_decoded.get(term)
-        if full is None and (len(np.unique(rows // self.block_size))
-                             * self.block_size * 2 >= n_post):
-            full = self.positions_arrow(term)
+        if full is None:
+            enc = self.encoded(term)
+            touched = np.unique(block_of_rows(enc, rows, self.block_size))
+            if len(touched) * 2 >= len(enc.block_last):
+                full = self.positions_arrow(term)
         return full
 
     def positions_rows_flat(self, term: str, rows: np.ndarray):
@@ -486,12 +571,11 @@ class PostingsPartReader:
             return None
         rows = np.asarray(rows, dtype=np.int64)
         counts = self._pos_counts(term)
-        n_post = len(counts)
         seen = self._pos_flat_hits.get(term, 0)
         if len(self._pos_flat_hits) >= _POS_CACHE_MAX:
             self._pos_flat_hits.clear()
         self._pos_flat_hits[term] = seen + 1
-        full = self._full_positions_if_cheap(term, rows, n_post)
+        full = self._full_positions_if_cheap(term, rows)
         if full is None and seen >= 1:
             full = self.positions_arrow(term)  # hot-term promotion
         if full is not None:
@@ -515,18 +599,18 @@ class PostingsPartReader:
                 + np.repeat(lo, lengths)
             )
             return lengths, v[idx]
-        l, flat = self._positions_rows_blocks(term, rows, counts, n_post)
+        l, flat = self._positions_rows_blocks(term, rows, counts)
         return l, flat.astype(np.int64)
 
-    def _positions_rows_blocks(self, term: str, rows: np.ndarray,
-                               counts: np.ndarray, n_post: int):
+    def _positions_rows_blocks(self, term: str, rows: np.ndarray, counts: np.ndarray):
         """per-skip-block decode path shared by the Arrow and flat
         variants: (lengths int64, flat uint32) aligned with `rows`."""
         i = self._terms[term]
         from chearch_ray.functions.codec import unpack_position_blob
 
-        bs = self.block_size
-        blocks = np.unique(rows // bs)
+        enc = self.encoded(term)
+        row_blocks = block_of_rows(enc, rows, self.block_size)
+        blocks = np.unique(row_blocks)
         cache = self._pos_blk_cache.setdefault(term, {})
         miss = [b for b in blocks.tolist() if b not in cache]
         if miss:
@@ -537,8 +621,8 @@ class PostingsPartReader:
             # blocks' byte slices CONCATENATE into one valid stream —
             # one vectorized varint decode for all misses (a per-block
             # decode loop costs ~50us of numpy setup per block)
-            m_lo = mb * bs
-            m_hi = np.minimum((mb + 1) * bs, n_post)
+            m_lo, m_n = block_span(enc, mb, self.block_size)
+            m_hi = m_lo + m_n
             byte_lo = pos_off[mb]
             byte_hi = np.where(mb + 1 < len(pos_off),
                                pos_off[np.minimum(mb + 1, len(pos_off) - 1)], len(blob))
@@ -572,12 +656,11 @@ class PostingsPartReader:
             shift += int(p[1][-1])
         offs = (np.concatenate(offs_parts + [np.array([shift], dtype=np.int64)])
                 if parts else np.zeros(1, dtype=np.int64))
-        lo_posts = blocks * bs
-        hi_posts = np.minimum((blocks + 1) * bs, n_post)
+        lo_posts, n_posts = block_span(enc, blocks, self.block_size)
         # posting index inside the concatenated space, fully vectorized
-        cat_base = np.concatenate([[0], np.cumsum(hi_posts - lo_posts)])[:-1]
-        brank = np.searchsorted(blocks, rows // bs)
-        cat_post = cat_base[brank] + (rows - blocks[brank] * bs)
+        cat_base = np.concatenate([[0], np.cumsum(n_posts)])[:-1]
+        brank = np.searchsorted(blocks, row_blocks)
+        cat_post = cat_base[brank] + (rows - lo_posts[brank])
         starts_b = offs[cat_post]
         l = offs[cat_post + 1] - starts_b
         total = int(l.sum())
@@ -625,23 +708,89 @@ class PostingsPartReader:
         return pa.concat_arrays(parts)
 
 
+#: bytes one pa.string() array can address (32-bit offsets)
+_MAX_STRING_BYTES = 2**31 - 1
+
+
+def _string_view(col: "pa.LargeStringArray", off: int, n: int) -> "pa.Array | None":
+    """rows [off, off+n) of a large_string array as a pa.string() array
+    over the SAME data bytes, its offsets rebased to 32 bits.  None when
+    those rows hold more bytes than 32-bit offsets can address."""
+    import pyarrow.compute as pc
+
+    start = col.offset + off
+    offs = np.frombuffer(col.buffers()[1], dtype=np.int64)[start:start + n + 1]
+    base, end = int(offs[0]), int(offs[-1])
+    if end - base > _MAX_STRING_BYTES:
+        return None
+    data = col.buffers()[2]
+    data = pa.py_buffer(b"") if data is None else data.slice(base, end - base)
+    valid = pc.is_valid(col.slice(off, n)).buffers()[1] if col.null_count else None
+    return pa.Array.from_buffers(
+        pa.string(), n, [valid, pa.py_buffer((offs - base).astype(np.int32)), data])
+
+
+def _one_chunk(col: "pa.ChunkedArray") -> "pa.Array":
+    """a column as ONE contiguous array (a take on a multi-chunk column
+    concatenates every chunk per call).  Strings are combined with
+    64-bit offsets, so no column overflows, then viewed back as
+    pa.string() when they fit 32-bit offsets; a bigger one stays
+    large_string."""
+    if not (pa.types.is_string(col.type) or pa.types.is_large_string(col.type)):
+        return col.combine_chunks()
+    big = col.cast(pa.large_string()).combine_chunks()
+    view = _string_view(big, 0, len(big))
+    return big if view is None else view
+
+
 class DocmapReader:
-    """One doc-segment's docmap.  Its rows are sorted by external id
-    (`doc_id`, or (`doc_id_hi`, `doc_id`) with doc_id_bits=128), and a
-    doc's row is its ORDINAL, the value its postings hold (reference
+    """The docmap of one doc-segment, or of a searcher group's segments
+    (`concat`).  A segment's rows are sorted by external id (`doc_id`,
+    or (`doc_id_hi`, `doc_id`) with doc_id_bits=128), and a doc's row
+    is its ORDINAL, the value its postings hold (reference
     documentIndex vs externalDocId, documentid.chpl:20-42): mapping a
     posting value to its row is a bounds check, and `external_ids` /
-    `ordinals_for` translate between ordinals and external ids."""
+    `ordinals_for` translate between rows and external ids.
+
+    A group's rows are its segments' rows, segment-major, so they are
+    not in external-id order across segments.  One argsort of the keys
+    at open serves `ordinals_for` and `tie_rank`, each row's rank in
+    external-key order (the identity for one segment)."""
 
     def __init__(self, path: str):
-        table = pq.read_table(path)
+        self._load(pq.read_table(path))
+
+    @classmethod
+    def concat(cls, readers: list["DocmapReader"]) -> "DocmapReader":
+        """one reader over several docmaps, rows in reader order, every
+        column one contiguous array (`_one_chunk`)"""
+        if len(readers) == 1 and all(c.num_chunks == 1 for c in readers[0].table.columns):
+            return readers[0]
+        table = pa.concat_tables([r.table for r in readers])
+        out = cls.__new__(cls)
+        out._load(pa.table([_one_chunk(c) for c in table.columns], names=table.column_names),
+                  readers[0].schema)
+        return out
+
+    def _load(self, table: pa.Table, schema: pa.Schema | None = None) -> None:
         self.table = table
+        #: the docmap files' schema: results carry these column types
+        #: even where a group holds a column as large_string
+        self.schema = table.schema if schema is None else schema
         self.doc_ids = table["doc_id"].to_numpy()
         self.doc_len = table["doc_len"].to_numpy().astype(np.float64)
         #: high words of wide external ids; None in 64-bit mode
         self.doc_hi = (table["doc_id_hi"].to_numpy()
                        if "doc_id_hi" in table.column_names else None)
         self._keys = self.key(self.doc_hi, self.doc_ids)
+        if len(self._keys) < 2 or bool(np.all(self._keys[1:] >= self._keys[:-1])):
+            self._order = self._rank = None
+            self._sorted = self._keys
+        else:
+            self._order = np.argsort(self._keys, kind="stable")
+            self._sorted = self._keys[self._order]
+            self._rank = np.empty(len(self._order), dtype=np.int64)
+            self._rank[self._order] = np.arange(len(self._order))
 
     def key(self, hi, lo) -> np.ndarray:
         """`doc_keys` of external ids in this docmap's mode: hi is
@@ -666,19 +815,37 @@ class DocmapReader:
         q = self.key(hi, lo)
         if len(self._keys) == 0:
             return np.full(len(q), -1, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(self._keys, q), len(self._keys) - 1)
-        return np.where(self._keys[pos] == q, pos, -1).astype(np.int64)
+        pos = np.minimum(np.searchsorted(self._sorted, q), len(self._keys) - 1)
+        rows = pos if self._order is None else self._order[pos]
+        return np.where(self._sorted[pos] == q, rows, -1).astype(np.int64)
+
+    def tie_rank(self, ordinals: np.ndarray) -> np.ndarray:
+        """each row's rank in external-key order: sorting rows by it
+        sorts them by external id"""
+        return ordinals if self._rank is None else self._rank[ordinals]
+
+    def rank_cut(self, hi, lo) -> int:
+        """how many rows have an external key <= (hi, lo): a row's key
+        is greater exactly when its `tie_rank` is >= this"""
+        return int(np.searchsorted(self._sorted, self.key(hi, lo), side="right")[0])
 
     def lengths_for(self, ordinals: np.ndarray) -> np.ndarray:
         return self.doc_len[self._indices_for(ordinals)]
 
-    def meta_for(self, ordinals: np.ndarray) -> pa.Table:
-        return self.table.take(pa.array(self._indices_for(ordinals), type=pa.int64()))
+    def _take(self, ordinals: np.ndarray, columns) -> pa.Table:
+        """the docmap `columns` of `ordinals`, in the files' types"""
+        t = self.table.select(list(columns)).take(
+            pa.array(self._indices_for(ordinals), type=pa.int64()))
+        want = pa.schema([self.schema.field(n) for n in t.column_names])
+        return t if t.schema == want else t.cast(want)
+
+    def meta_for(self, ordinals: np.ndarray, columns) -> pa.Table:
+        """result metadata: the docmap `columns` of `ordinals`"""
+        return self._take(ordinals, columns)
 
     def column_arrow_for(self, ordinals: np.ndarray,
                          column: str) -> "pa.ChunkedArray":
         """ONE metadata column's values for `ordinals` as Arrow
         (validated like meta_for) — aggregation paths hand it to
         Arrow group_by without materializing Python strings."""
-        return self.table[column].take(
-            pa.array(self._indices_for(ordinals), type=pa.int64()))
+        return self._take(ordinals, [column])[column]

@@ -318,6 +318,8 @@ def test_maxscore_identical_to_exhaustive(engine, oracle):
 
     cfg_off = dataclasses.replace(CFG, use_maxscore=False)
     plain = [SegmentSearcher(engine.index_dir, s, cfg_off) for s in engine.segments]
+    pruned_segs = [SegmentSearcher(engine.index_dir, s, CFG) for s in engine.segments]
+    plain_group = SegmentSearcher(engine.index_dir, engine.segments, cfg_off)
     rng = np.random.default_rng(7)
     terms = sorted(oracle.postings)
     for _ in range(30):
@@ -326,8 +328,9 @@ def test_maxscore_identical_to_exhaustive(engine, oracle):
         for t in picks[1:]:
             node = ast.Or(node, ast.Term(t))
         idfs = engine.idfs_for(node)
-        for seg, searcher in enumerate(plain):
-            pruned = engine._local[seg].search_bm25(node, 10, idfs, engine.avgdl)
+        pairs = [*zip(pruned_segs, plain), (engine._group.searcher, plain_group)]
+        for pruned_s, searcher in pairs:
+            pruned = pruned_s.search_bm25(node, 10, idfs, engine.avgdl)
             exact = searcher.search_bm25(node, 10, idfs, engine.avgdl)
             assert pruned["doc_id"].to_pylist() == exact["doc_id"].to_pylist(), node
             assert pruned["score"].to_pylist() == exact["score"].to_pylist(), node

@@ -508,6 +508,8 @@ def test_decode_stats_pinned_for_fixed_queries(ray_session, tmp_path):
         len(eng.search_phrase("hotterm filler7", k=5)),
     ]
     assert sizes == [13, 5, 10, 5]
-    totals = {k: sum(s.decode_stats[k] for s in eng._local)
+    totals = {k: eng._group.searcher.decode_stats[k]
               for k in ("blocks_decoded", "blocks_total", "full_decodes")}
-    assert totals == {"blocks_decoded": 89, "blocks_total": 228, "full_decodes": 8}
+    # one searcher over both segments: a full decode covers a term's
+    # whole group list, where each segment's searcher decoded its own
+    assert totals == {"blocks_decoded": 89, "blocks_total": 228, "full_decodes": 4}

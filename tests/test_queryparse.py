@@ -328,11 +328,8 @@ def test_parse_infix_wildcard_leaf():
 
 
 def _doc_lens(eng) -> dict:
-    out = {}
-    for s in eng._local:
-        t = s.docmap.table
-        out.update(zip(t["doc_id"].to_pylist(), t["doc_len"].to_pylist()))
-    return out
+    t = eng._group.searcher.docmap.table
+    return dict(zip(t["doc_id"].to_pylist(), t["doc_len"].to_pylist()))
 
 
 def test_range_filter_numeric(eng):
@@ -847,9 +844,9 @@ def test_count_ignores_partition_limit(eng):
     full = eng.count("def OR return OR class")
     # fixture guarantee, so the capped comparison below is never
     # vacuous — if the corpus ever shrinks, fix the fixture
-    assert full > 3 * len(eng._local)
+    assert full > 3 * len(eng.segments)
     capped = len(eng.search_boolean("def OR return OR class", limit=3))
-    assert capped == 3 * len(eng._local)
+    assert capped == 3 * len(eng.segments)
     assert full > capped
     assert full == len(eng.search_boolean("def OR return OR class",
                                           limit=10**9))

@@ -329,8 +329,7 @@ def test_filter_cache_is_bounded(indexes):
     eng = QueryEngine(d, use_actors=False)
     queries = [f"doc_len:[{i} TO {i + 500}] def" for i in range(300)]
     got = [eng.search_parsed(q) for q in queries]
-    for m in eng._local:
-        assert 0 < len(m._filter_cache) <= searcher_mod._FILTER_CACHE_MAX
+    assert 0 < len(eng._group.searcher._filter_cache) <= searcher_mod._FILTER_CACHE_MAX
     # evicted predicates recompute to a fresh engine's answers
     fresh = QueryEngine(d, use_actors=False)
     for q, t in zip(queries[::25], got[::25]):
@@ -357,7 +356,7 @@ def test_pos_flat_hits_is_bounded(ray_session, tmp_path):
     eng = QueryEngine(d, use_actors=False)
     phrases = [[a, b] for a, b in zip(words[::2], words[1::2])]
     got = [eng.search_phrase(p) for p in phrases]
-    reader = eng._local[0].shards[0]
+    reader = eng._group.searcher.shards[0]
     assert 0 < len(reader._pos_flat_hits) <= limit
     fresh = QueryEngine(d, use_actors=False)
     for p, t in zip(phrases[::50], got[::50]):

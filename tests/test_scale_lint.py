@@ -314,3 +314,52 @@ def test_postings_reader_serves_terms_without_arrow_scalars():
     assert {(m, w) for m, w, _ in _arrow_boxing_sites(probe)} == {
         ("a", ".as_py()"), ("a", "pyarrow.compute"), ("b", "pyarrow.compute"),
         ("c", "import pyarrow.compute")}
+
+
+#: argument position of the tie key in each ordering helper
+TIE_KEY_ARG = {"topk_order": 1, "collapse_order": 2}
+
+
+def _raw_tie_keys(source: str) -> list[tuple[str, int]]:
+    """(helper, line) for every `topk_order` / `collapse_order` call
+    whose tie key is not a direct `self._tie_key(...)` call, outside
+    the two helpers' own definitions (collapse_order hands its caller's
+    tie keys on to topk_order)."""
+    sites = []
+
+    def visit(node, inside: str | None):
+        if isinstance(node, ast.FunctionDef):
+            inside = node.name if node.name in TIE_KEY_ARG else inside
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in TIE_KEY_ARG and inside is None):
+            i = TIE_KEY_ARG[node.func.id]
+            arg = node.args[i] if len(node.args) > i else None
+            ok = (isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
+                  and arg.func.attr == "_tie_key"
+                  and isinstance(arg.func.value, ast.Name) and arg.func.value.id == "self")
+            if not ok:
+                sites.append((node.func.id, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_searcher_ties_break_on_the_tie_key_helper():
+    """A searcher's rows run segment-major, not in external-id order, so
+    a score tie broken on posting values (rows) picks the wrong winners
+    on multi-segment groups — silently, and only when scores tie.  In
+    state/searcher.py every `topk_order` / `collapse_order` call takes
+    its tie key from `self._tie_key`."""
+    sites = _raw_tie_keys(open(os.path.join(STATE_DIR, "searcher.py")).read())
+    assert not sites, f"ordering calls with raw tie keys in searcher.py: {sites}"
+    probe = ("def topk_order(s, k, n):\n    return s\n"
+             "def collapse_order(c, s, k, n):\n    return topk_order(s, k, n)\n"
+             "class S:\n"
+             "    def a(self, s, d):\n        return topk_order(s, d, 3)\n"
+             "    def b(self, c, s, d):\n        return collapse_order(c, s, d[1:], 3)\n"
+             "    def c(self, s, d):\n        return topk_order(s, self._tie_key(d), 3)\n"
+             "    def d(self, s, d):\n        return topk_order(s, other._tie_key(d), 3)\n")
+    assert _raw_tie_keys(probe) == [("topk_order", 7), ("collapse_order", 9),
+                                    ("topk_order", 13)]

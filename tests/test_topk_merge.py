@@ -242,7 +242,8 @@ def test_wide_colliding_low_words_tie_break_on_full_key(indexes):
     orders them by (hi, lo), not by the low word."""
     want = [(0, 6), (0, 7), (0, 8), (1, 6), (1, 7)]
     local = QueryEngine(indexes["collide"], use_actors=False)
-    assert {s.seg for s in local._local if np.isin([6, 7, 8], s.docmap.doc_ids).any()} \
+    assert {seg for seg in local.segments if np.isin(
+        [6, 7, 8], SegmentSearcher(local.index_dir, seg, local.cfg).docmap.doc_ids).any()} \
         == set(local.segments)
     for eng in (local, QueryEngine(indexes["collide"], use_actors=True, max_actors=1)):
         top = eng.search("alpha beta gamma", k=5, default_op="and")
@@ -252,37 +253,22 @@ def test_wide_colliding_low_words_tie_break_on_full_key(indexes):
 
 def test_topk_projects_metadata_once(indexes, monkeypatch):
     """a top-k query on a multi-segment local engine issues exactly one
-    docmap metadata take (the group's, for the k winners) and never
-    calls the per-segment DocmapReader.meta_for."""
+    docmap metadata take (the group's, for the k winners)."""
     eng = QueryEngine(indexes["64"], use_actors=False)
     hot, _ = _terms(eng)
-    assert len(eng._local) == 3
-
-    class CountingTable:
-        def __init__(self, table):
-            self.table, self.takes = table, 0
-
-        def take(self, indices):
-            self.takes += 1
-            return self.table.take(indices)
-
-        def __getitem__(self, name):
-            return self.table[name]
-
-    meta = CountingTable(eng._group._meta)
-    monkeypatch.setattr(eng._group, "_meta", meta)
+    assert eng._group.searcher.segs == eng.segments and len(eng.segments) == 3
     meta_for = []
     orig = DocmapReader.meta_for
     monkeypatch.setattr(DocmapReader, "meta_for",
-                        lambda self, ids: meta_for.append(len(ids)) or orig(self, ids))
+                        lambda self, ids, columns: meta_for.append(len(ids))
+                        or orig(self, ids, columns))
     for call in (lambda: eng.search(_or(hot), k=K),
                  lambda: eng.search_msm(hot, 2, k=K),
                  lambda: eng.search_collapse(_or(hot), field="lang", k=3)):
-        before = meta.takes
+        before = len(meta_for)
         out = call()
         assert len(out) > 0
-        assert meta.takes - before == 1
-    assert meta_for == []
+        assert len(meta_for) - before == 1 and meta_for[-1] == len(out)
 
 
 def test_string_view_rebases_offsets_over_shared_bytes():
@@ -303,14 +289,13 @@ def test_string_view_rebases_offsets_over_shared_bytes():
 @pytest.mark.parametrize("max_string_bytes", [None, 600])
 def test_group_from_chunked_metadata_columns(indexes, monkeypatch, max_string_bytes):
     """docmaps whose metadata columns arrive in many chunks (as Arrow
-    splits a column past 2 GiB): the group holds ONE contiguous chunk
-    per column, one take serves a query, and every result equals the
-    plain build.  Under the real 32-bit limit the group's columns are
-    pa.string() and every member reads a view of them; under a stub
-    limit smaller than the group's columns (but not every member's)
-    the group keeps large_string columns and casts only the winners,
-    and a member over the limit keeps its own column."""
-    from chearch_ray.state import searcher as searcher_mod
+    splits a column past 2 GiB): the group's docmap holds ONE
+    contiguous chunk per column, one take serves a query, and every
+    result equals the plain build.  Under the real 32-bit limit the
+    group's string columns are pa.string(); under a stub limit smaller
+    than the group's columns the group keeps large_string columns and
+    casts only the winners."""
+    from chearch_ray.state import segment as segment_mod
 
     plain = QueryEngine(indexes["64"], use_actors=False)
     orig_init = DocmapReader.__init__
@@ -321,31 +306,20 @@ def test_group_from_chunked_metadata_columns(indexes, monkeypatch, max_string_by
 
     monkeypatch.setattr(DocmapReader, "__init__", chunked_init)
     if max_string_bytes is not None:
-        monkeypatch.setattr(searcher_mod, "_MAX_STRING_BYTES", max_string_bytes)
+        monkeypatch.setattr(segment_mod, "_MAX_STRING_BYTES", max_string_bytes)
     eng = QueryEngine(indexes["64"], use_actors=False)
-    group = eng._group
-    viewed = 0
-    for name in group._meta.column_names:
-        col = group._meta[name]
-        assert col.num_chunks == 1
-        fits = col.chunk(0).buffers()[2].size <= searcher_mod._MAX_STRING_BYTES
-        assert col.type == (pa.string() if fits else pa.large_string()), name
-        data = col.chunk(0).buffers()[2]
-        for m in eng._local:
-            own = m.docmap.table[name]
-            if own.num_chunks > 1:
-                assert not fits
-                continue
-            viewed += 1
-            assert own.type == pa.string()
-            assert np.frombuffer(own.chunk(0).buffers()[1], dtype=np.int32)[0] == 0
-            assert data.address <= own.chunk(0).buffers()[2].address < data.address + data.size
-    assert viewed > 0
-    if max_string_bytes is not None:
-        assert pa.large_string() in group._meta.schema.types
-        assert viewed < len(eng._local) * len(group._meta.column_names)
-    for m, p in zip(eng._local, plain._local):
-        assert m.docmap.table.equals(p.docmap.table)
+    table = eng._group.searcher.docmap.table
+    large = []
+    for name in table.column_names:
+        col = table[name]
+        assert col.num_chunks == 1, name
+        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+            fits = col.chunk(0).buffers()[2].size <= segment_mod._MAX_STRING_BYTES
+            assert col.type == (pa.string() if fits else pa.large_string()), name
+            large.append(not fits)
+    assert any(large) == (max_string_bytes is not None)
+    want = plain._group.searcher.docmap.table
+    assert table.cast(want.schema).equals(want)
     hot, adj = _terms(plain)
     for call in (lambda e: e.search(_or(hot), k=K),
                  lambda e: e.search_msm(hot, 2, k=K),
