@@ -777,6 +777,8 @@ class DocmapReader:
         #: the docmap files' schema: results carry these column types
         #: even where a group holds a column as large_string
         self.schema = table.schema if schema is None else schema
+        #: set when a column is held in another type (large_string)
+        self._cast = None if table.schema.equals(self.schema) else self.schema
         self.doc_ids = table["doc_id"].to_numpy()
         self.doc_len = table["doc_len"].to_numpy().astype(np.float64)
         #: high words of wide external ids; None in 64-bit mode
@@ -836,8 +838,9 @@ class DocmapReader:
         """the docmap `columns` of `ordinals`, in the files' types"""
         t = self.table.select(list(columns)).take(
             pa.array(self._indices_for(ordinals), type=pa.int64()))
-        want = pa.schema([self.schema.field(n) for n in t.column_names])
-        return t if t.schema == want else t.cast(want)
+        if self._cast is None:
+            return t
+        return t.cast(pa.schema([self._cast.field(n) for n in t.column_names]))
 
     def meta_for(self, ordinals: np.ndarray, columns) -> pa.Table:
         """result metadata: the docmap `columns` of `ordinals`"""
