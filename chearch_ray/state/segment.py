@@ -371,7 +371,9 @@ class PostingsPartReader:
     def __init__(self, path: str | list[str], cfg: EngineConfig,
                  row_offsets: list[int] | None = None):
         paths = [path] if isinstance(path, str) else list(path)
-        tables = [pq.read_table(p) for p in paths]
+        # a file's own reader: read_table's dataset setup costs about
+        # as much as the read for these small per-part files
+        tables = [pq.ParquetFile(p).read() for p in paths]
         for p, table in zip(paths, tables):
             if "positions" in table.column_names and "pos_blob" not in table.column_names:
                 raise ValueError(
@@ -758,7 +760,7 @@ class DocmapReader:
     external-key order (the identity for one segment)."""
 
     def __init__(self, path: str):
-        self._load(pq.read_table(path))
+        self._load(pq.ParquetFile(path).read())
 
     @classmethod
     def concat(cls, readers: list["DocmapReader"]) -> "DocmapReader":
