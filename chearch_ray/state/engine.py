@@ -1194,6 +1194,7 @@ class QueryEngine:
 
         if (doc_id is None) == (text is None):
             raise ValueError("pass exactly one of text or doc_id=")
+        k = self._k(k)
         if doc_id is not None:
             if self.cfg.doc_id_bits == 128 and doc_hi is None:
                 # a lo-only lookup on a wide index would fetch an
@@ -1207,7 +1208,7 @@ class QueryEngine:
             if len(rows) == 0:
                 raise KeyError(f"doc {doc_id} not in docstore")
             text = rows["text"][0].as_py()
-            kk = self._k(k) + 1
+            kk = k + 1
             out = self.more_like_this(text, n_terms, kk)
             wide = doc_hi is not None and "doc_id_hi" in out.column_names
             keep = [
@@ -1234,13 +1235,7 @@ class QueryEngine:
             scored.append((-float(f) * bm25_idf(self.n_docs, df), t))
         scored.sort()
         pick = [t for _, t in scored[:n_terms]]
-        if not pick:
-            cols = {"doc_id": pa.array([], type=pa.uint64()),
-                    "score": pa.array([], type=pa.float64())}
-            for name in RESULT_META_COLUMNS:
-                cols[name] = pa.array([], type=pa.string())
-            return pa.table(cols)
-        node: ast.Node = ast.Term(pick[0])
+        node: ast.Node = ast.Term(pick[0]) if pick else _NO_MATCH
         for t in pick[1:]:
             node = ast.Or(node, ast.Term(t))
         return self.search(node, k=k)

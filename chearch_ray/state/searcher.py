@@ -146,14 +146,39 @@ def collapse_order(codes: np.ndarray, scores: np.ndarray, keys: np.ndarray,
 
 
 def column_codes(arr: "pa.ChunkedArray") -> np.ndarray:
-    """dictionary codes of an Arrow column (nulls get their own code) —
-    integer group keys for collapse_order.  Arrow's dictionary_encode
-    stays in C++, where a numpy unique over Python strings would
-    dominate the whole query."""
+    """int32 dictionary codes of an Arrow column (nulls get their own
+    code) — integer group keys for collapse_order.  Arrow's
+    dictionary_encode stays in C++, where a numpy unique over Python
+    strings would dominate the whole query."""
     import pyarrow.compute as pc
 
     enc = pc.dictionary_encode(arr.combine_chunks(), null_encoding="encode")
-    return enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    return enc.indices.to_numpy(zero_copy_only=False).astype(np.int32)
+
+
+_SCORE_FIELD = pa.field("score", pa.float64())
+
+
+def _result_layouts(docmap_schema: pa.Schema | None, wide: bool) -> dict:
+    """(scored, with_meta) -> (the docmap columns one take gathers,
+    the score column's index or None, the typed empty result).  A
+    result is the id columns ((doc_id_hi,) doc_id), then score when
+    scored, then RESULT_META_COLUMNS with metadata, typed as in the
+    docmap files (uint64 ids and string metadata without a docmap)."""
+    ids = ("doc_id_hi", "doc_id") if wide else ("doc_id",)
+    if docmap_schema is None:
+        docmap_schema = pa.schema([(n, pa.uint64()) for n in ids]
+                                  + [(n, pa.string()) for n in RESULT_META_COLUMNS])
+    out = {}
+    for scored in (True, False):
+        for with_meta in (True, False):
+            columns = ids + RESULT_META_COLUMNS if with_meta else ids
+            fields = [docmap_schema.field(n) for n in columns]
+            if scored:
+                fields.insert(len(ids), _SCORE_FIELD)
+            out[scored, with_meta] = (columns, len(ids) if scored else None,
+                                      pa.schema(fields).empty_table())
+    return out
 
 
 class SegmentSearcher:
@@ -190,6 +215,10 @@ class SegmentSearcher:
         #: row offset of each segment, and the row count after the last
         self.row_offsets = np.cumsum([0] + sizes).astype(np.uint64)
         self.docmap = DocmapReader.concat(docmaps) if docmaps else None
+        self._layouts = _result_layouts(None if self.docmap is None else self.docmap.schema,
+                                        cfg.doc_id_bits == 128)
+        #: collapse field -> int32 group code per row, on first use
+        self._collapse_codes: dict[str, np.ndarray] = {}
         self.deleted = np.concatenate(deleted) if deleted else _EMPTY_U64
         self.shards: dict[int, PostingsPartReader] = {}
         for shard in range(cfg.num_term_shards):
@@ -682,11 +711,11 @@ class SegmentSearcher:
         builds its thresholds from qualifying docs only) or the
         generic eval+score path, never the term/AND fast paths.
 
-        `with_meta=False` skips the docmap metadata projection (the
-        result path's single biggest fixed cost per segment) for
-        callers that only consume (doc_id, score) — the TCP text and
-        snippet frames, and search_with_snippets which re-reads text
-        from the docstore sidecar instead of the docmap."""
+        `with_meta=False` returns the ids and scores alone (the one
+        docmap take gathers only the id columns) for callers that only
+        consume (doc_id, score) — the TCP text and snippet frames, and
+        search_with_snippets which re-reads text from the docstore
+        sidecar instead of the docmap."""
         if self.docmap is None:
             return self._project(_EMPTY_U64, scores=np.empty(0), with_meta=with_meta)
         allowed = None
@@ -984,8 +1013,10 @@ class SegmentSearcher:
         if len(cands) == 0:
             return self._project(cands, scores=np.empty(0),
                                  with_meta=with_meta)
-        codes = column_codes(self.docmap.column_arrow_for(cands, field))
-        sel = collapse_order(codes, scores, self._tie_key(cands), k)
+        codes = self._collapse_codes.get(field)
+        if codes is None:
+            codes = self._collapse_codes[field] = column_codes(self.docmap.table[field])
+        sel = collapse_order(codes[cands], scores, self._tie_key(cands), k)
         return self._project(cands[sel], scores=scores[sel],
                              with_meta=with_meta)
 
@@ -1198,35 +1229,19 @@ class SegmentSearcher:
     # -------------------------------------------------------- projection
     def _project(self, doc_ids: np.ndarray, scores: np.ndarray | None,
                  with_meta: bool = True) -> pa.Table:
-        """The single exit of every result-returning operator: an Arrow
-        table of the (doc_id_hi,) doc_id[, score] ids, plus the docmap
-        metadata columns when `with_meta` is True — one take, for the
-        rows the operator kept (late materialization)."""
-        # posting values are docmap rows; results carry the EXTERNAL ids
-        cols: dict = {}
-        if self.docmap is not None and len(doc_ids):
-            hi, lo = self.docmap.external_ids(doc_ids)
-        else:
-            hi = np.empty(0, np.uint64) if self.cfg.doc_id_bits == 128 else None
-            lo = np.empty(0, np.uint64)
-        if hi is not None:
-            cols["doc_id_hi"] = pa.array(hi, type=pa.uint64())
-        cols["doc_id"] = pa.array(lo, type=pa.uint64())
-        if scores is not None:
-            cols["score"] = pa.array(scores.astype(np.float64), type=pa.float64())
-        if not with_meta:
-            # id-only projection for callers that discard the metadata
-            # columns (the 13-byte wire records carry ids alone) —
-            # meta_for's string-table take is the result path's single
-            # biggest fixed cost
-            return pa.table(cols)
-        if self.docmap is not None and len(doc_ids):
-            meta = self.docmap.meta_for(doc_ids, RESULT_META_COLUMNS)
-            cols.update(zip(meta.column_names, meta.columns))
-        else:
-            for name in RESULT_META_COLUMNS:
-                cols[name] = pa.array([""] * len(doc_ids), type=pa.string())
-        return pa.table(cols)
+        """The single exit of every result-returning operator: the rows
+        of `doc_ids` (docmap ordinals) as (doc_id_hi,) doc_id[, score]
+        plus, when `with_meta` is True, the docmap metadata columns.
+        The ids and metadata come from ONE docmap take (`meta_for`)
+        for the rows the operator kept (late materialization); zero
+        rows return the call shape's prebuilt typed empty table."""
+        columns, score_at, empty = self._layouts[scores is not None, with_meta]
+        if len(doc_ids) == 0:
+            return empty
+        t = self.docmap.meta_for(doc_ids, columns)
+        if score_at is None:
+            return t
+        return t.add_column(score_at, _SCORE_FIELD, pa.array(scores, type=pa.float64()))
 
     # --------------------------------------------------------- positions
     def positions(self, term: str, doc_id: int, doc_hi: int | None = None) -> list[int]:

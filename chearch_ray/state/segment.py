@@ -779,8 +779,9 @@ class DocmapReader:
         #: the docmap files' schema: results carry these column types
         #: even where a group holds a column as large_string
         self.schema = table.schema if schema is None else schema
-        #: set when a column is held in another type (large_string)
-        self._cast = None if table.schema.equals(self.schema) else self.schema
+        #: per column tuple: the held table's selection, and the files'
+        #: schema to cast its taken rows to (None when the types agree)
+        self._selections: dict[tuple, tuple[pa.Table, pa.Schema | None]] = {}
         self.doc_ids = table["doc_id"].to_numpy()
         self.doc_len = table["doc_len"].to_numpy().astype(np.float64)
         #: high words of wide external ids; None in 64-bit mode
@@ -836,21 +837,27 @@ class DocmapReader:
     def lengths_for(self, ordinals: np.ndarray) -> np.ndarray:
         return self.doc_len[self._indices_for(ordinals)]
 
-    def _take(self, ordinals: np.ndarray, columns) -> pa.Table:
-        """the docmap `columns` of `ordinals`, in the files' types"""
-        t = self.table.select(list(columns)).take(
-            pa.array(self._indices_for(ordinals), type=pa.int64()))
-        if self._cast is None:
-            return t
-        return t.cast(pa.schema([self._cast.field(n) for n in t.column_names]))
-
     def meta_for(self, ordinals: np.ndarray, columns) -> pa.Table:
-        """result metadata: the docmap `columns` of `ordinals`"""
-        return self._take(ordinals, columns)
+        """the result rows of `ordinals`: the docmap `columns` (id
+        columns and metadata alike) in `columns` order and the files'
+        types, from ONE take over the held (one-chunk) columns into
+        fresh buffers"""
+        columns = tuple(columns)
+        sel = self._selections.get(columns)
+        if sel is None:
+            held = self.table.select(list(columns))
+            want = pa.schema([self.schema.field(n) for n in columns])
+            sel = self._selections[columns] = (
+                held, None if held.schema.equals(want) else want)
+        held, cast = sel
+        # the ordinals' own integer type: a uint64 -> int64 conversion
+        # in pa.array costs as much as the take of a few id columns
+        t = held.take(pa.array(self._indices_for(ordinals)))
+        return t if cast is None else t.cast(cast)
 
     def column_arrow_for(self, ordinals: np.ndarray,
                          column: str) -> "pa.ChunkedArray":
         """ONE metadata column's values for `ordinals` as Arrow
         (validated like meta_for) — aggregation paths hand it to
         Arrow group_by without materializing Python strings."""
-        return self._take(ordinals, [column])[column]
+        return self.meta_for(ordinals, (column,))[column]

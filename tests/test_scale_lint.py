@@ -363,3 +363,76 @@ def test_searcher_ties_break_on_the_tie_key_helper():
              "    def d(self, s, d):\n        return topk_order(s, other._tie_key(d), 3)\n")
     assert _raw_tie_keys(probe) == [("topk_order", 7), ("collapse_order", 9),
                                     ("topk_order", 13)]
+
+
+def _non_projecting_returns(source: str) -> list[tuple[str, int]]:
+    """(method, line) for every `return` in a SegmentSearcher
+    `search_*` method (nested functions aside) whose value is not a
+    `self._project(...)` or `self.search_*(...)` call."""
+    sites = []
+    cls = next(n for n in ast.parse(source).body
+               if isinstance(n, ast.ClassDef) and n.name == "SegmentSearcher")
+
+    def visit(node, method: str):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Return):
+            v = node.value
+            ok = (isinstance(v, ast.Call) and isinstance(v.func, ast.Attribute)
+                  and isinstance(v.func.value, ast.Name) and v.func.value.id == "self"
+                  and (v.func.attr == "_project" or v.func.attr.startswith("search_")))
+            if not ok:
+                sites.append((method, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, method)
+
+    for fn in cls.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("search_"):
+            for stmt in fn.body:
+                visit(stmt, fn.name)
+    return sites
+
+
+def _meta_column_loops(source: str) -> list[int]:
+    """lines of every loop or comprehension over RESULT_META_COLUMNS"""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.For):
+            loops = [node]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            loops = node.generators
+        else:
+            continue
+        if any(isinstance(g.iter, ast.Name) and g.iter.id == "RESULT_META_COLUMNS"
+               for g in loops):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_result_tables_have_one_schema():
+    """A result table built anywhere but `SegmentSearcher._project` drifts
+    from the one result schema, one operator at a time: a zero-hit
+    table without `doc_id_hi` in wide mode, or with other column types.
+    Every SegmentSearcher `search_*` method returns `self._project(...)`
+    or another `self.search_*(...)`, and state/engine.py builds no
+    table by looping over RESULT_META_COLUMNS."""
+    searcher = open(os.path.join(STATE_DIR, "searcher.py")).read()
+    assert not _non_projecting_returns(searcher), _non_projecting_returns(searcher)
+    engine = open(os.path.join(STATE_DIR, "engine.py")).read()
+    assert not _meta_column_loops(engine), (
+        f"engine.py builds tables over RESULT_META_COLUMNS: {_meta_column_loops(engine)}")
+    probe = ("class SegmentSearcher:\n"
+             "    def search_a(self, d):\n"
+             "        if d:\n            return self._project(d, None)\n"
+             "        return self.search_b(d)\n"
+             "    def search_b(self, d):\n"
+             "        f = lambda: pa.table({})\n"
+             "        def g():\n            return pa.table({})\n"
+             "        return pa.table({'doc_id': d})\n"
+             "    def _c(self, d):\n        return pa.table({})\n"
+             "    def search_d(self, d):\n        return other._project(d, None)\n")
+    assert _non_projecting_returns(probe) == [("search_b", 10), ("search_d", 14)]
+    loops = ("for n in RESULT_META_COLUMNS:\n    pass\n"
+             "x = {n: 1 for n in RESULT_META_COLUMNS}\n"
+             "y = [n for n in COLUMNS]\n")
+    assert _meta_column_loops(loops) == [1, 3]
