@@ -172,17 +172,26 @@ def test_collapse_codes_match_reference_and_compute_once(indexes, mode, monkeypa
 @pytest.mark.parametrize("mode", list(MODES))
 def test_topk_takes_ids_with_metadata(indexes, mode, monkeypatch):
     """the one meta_for take carries the ids: top-k queries on a
-    multi-segment local engine never gather ids through external_ids."""
+    multi-segment local engine never gather ids through external_ids.
+    Results own fresh buffers, never views of the resident docmap (a
+    serialized view would ship the whole column)."""
     eng = QueryEngine(indexes[mode], use_actors=False)
     assert len(eng.segments) == 3
     hot, adj = _terms(eng)
+    resident = [(b.address, b.address + b.size)
+                for col in eng._group.searcher.docmap.table.columns
+                for chunk in col.chunks for b in chunk.buffers() if b is not None]
     gathered = []
     orig = DocmapReader.external_ids
     monkeypatch.setattr(DocmapReader, "external_ids",
                         lambda self, ords: gathered.append(len(ords)) or orig(self, ords))
     for call, _, _ in _calls(eng, hot, adj).values():
-        assert len(call(True)) > 0
-        assert len(call(False)) > 0
+        for wm in (True, False):
+            out = call(wm)
+            assert len(out) > 0
+            for col in out.columns:
+                for b in col.chunk(0).buffers():
+                    assert b is None or not any(lo <= b.address < hi for lo, hi in resident)
     assert gathered == []
 
 
