@@ -153,8 +153,8 @@ def run_bench() -> dict:
         eng.search_boolean(node)
     timings["boolean_qps"] = len(batch) / (time.perf_counter() - t0)
 
-    # batched BM25 via search_many: one remote call per segment per
-    # batch instead of per query
+    # batched BM25 via search_many: one remote call per searcher group
+    # per batch instead of per query
     t0 = time.perf_counter()
     eng.search_many(batch, k=10)
     timings["bm25_batch_qps"] = len(batch) / (time.perf_counter() - t0)

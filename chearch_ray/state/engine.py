@@ -187,8 +187,12 @@ class QueryEngine:
         use_actors: bool = True,
         num_cpus_per_actor: float = 0.25,
         stats_mode: str = "eager",
-        max_actors: int = 32,
+        max_actors: int | None = None,
     ):
+        if max_actors is not None and (isinstance(max_actors, bool)
+                                       or not isinstance(max_actors, (int, np.integer))
+                                       or max_actors < 1):
+            raise ValueError(f"max_actors must be an integer >= 1 or None, not {max_actors!r}")
         # fractional CPUs: long-lived searcher actors must not starve
         # Ray Data read/map tasks on small clusters (a pool that
         # reserves every CPU serializes the pipeline).  0.25 keeps a
@@ -225,19 +229,23 @@ class QueryEngine:
         if use_actors:
             import ray
 
-            # segment-GROUP actors: actor count is bounded by
-            # max_actors however many segments the index has (at the
-            # 2^24-docs/segment cap, 10^12 docs => ~6e4 segments;
-            # 6e4 actors would be absurd).  Round-robin keeps groups
-            # balanced when segment sizes are hash-uniform.
-            n_groups = max(1, min(max_actors, len(self.segments)))
+            # one segment-GROUP actor per node (reference
+            # searchindex.chpl:25-28 runs one index shard per locale):
+            # a group evaluates all its segments as one row space, so
+            # more groups on a node only add actor calls per query.
+            # Nodes count once, here: alive ones that have a CPU (a
+            # driver-only 0-CPU head hosts no group).  An int
+            # max_actors asks for that many groups instead.  Either way
+            # there are at most len(segments) groups, dealt segments
+            # round-robin (balanced when sizes are hash-uniform).
+            if max_actors is None:
+                max_actors = sum(1 for n in ray.nodes()
+                                 if n["Alive"] and n["Resources"].get("CPU", 0) > 0)
+            n_groups = max(1, min(int(max_actors), len(self.segments)))
             self.actor_segments = [self.segments[i::n_groups] for i in range(n_groups)]
-            # SPREAD: locale-resident searchers belong one-per-node
-            # (reference searchindex.chpl:25-28 runs one index shard
-            # per locale) — Ray's default packing would pile every
-            # group onto the first worker of a multi-node cluster and
-            # serve all queries through one node's memory bandwidth.
-            # Single-node sessions are unaffected (only one target).
+            # SPREAD: Ray's default packing would pile every group
+            # onto the first worker of a multi-node cluster and serve
+            # all queries through one node's memory bandwidth.
             cls = ray.remote(num_cpus=num_cpus_per_actor,
                              scheduling_strategy="SPREAD")(SearcherGroup)
             self._actors = [
@@ -248,24 +256,31 @@ class QueryEngine:
 
     def actor_nodes(self) -> list[str]:
         """Ray node id per searcher-group actor (placement diagnostic:
-        on a multi-node cluster the SPREAD strategy should yield more
-        than one distinct id).  Empty when use_actors=False."""
+        on a multi-node cluster the default engine should yield each
+        CPU node's id once).  Empty when use_actors=False."""
         if not self.use_actors:
             return []
         import ray
 
-        return ray.get([a.node_id.remote() for a in self._actors])
+        return ray.get([a.node_id.remote() for a in self._live_actors()])
 
     # ------------------------------------------------------ fan-out
     def _scatter(self, method: str, *args, **kw) -> list:
-        """`method` on every searcher group — the actors, or the one
-        in-process group — one result per group."""
+        """`method` on every searcher group — the actors (one per node
+        by default), or the one in-process group — one result per
+        group.  Raises once an actor engine is closed."""
         if self.use_actors:
             import ray
 
             return ray.get([getattr(a, method).remote(*args, **kw)
-                            for a in self._actors])
+                            for a in self._live_actors()])
         return [getattr(self._group, method)(*args, **kw)]
+
+    def _live_actors(self) -> list:
+        """The group actors; raises once close() has released them."""
+        if not self._actors:
+            raise ValueError("QueryEngine is closed")
+        return self._actors
 
     def _k(self, k) -> int:
         """The k rule of every top-k operator: None means the index's
@@ -1007,7 +1022,7 @@ class QueryEngine:
         import ray
 
         seg = int(doc_id) % self.cfg.num_segments
-        for segs, actor in zip(self.actor_segments, self._actors):
+        for segs, actor in zip(self.actor_segments, self._live_actors()):
             if seg in segs:
                 return ray.get(actor.first_position.remote(term, doc_id, doc_hi=doc_hi))
         return None

@@ -1728,9 +1728,11 @@ class SearcherGroup:
     """N doc-segments resident in ONE actor (VERDICT r01 item 8): at
     10^12 docs the 2^24-doc segment cap implies ~6e4 segments
     (config.py scale note) — one actor per segment would mean 6e4
-    actors.  QueryEngine fans out to groups instead of segments, so
-    actor count is bounded by `max_actors` regardless of num_segments.
-    An actorless engine holds one in-process group over every segment.
+    actors.  QueryEngine fans out to groups instead of segments: by
+    default one group per Ray node that has a CPU (the reference's one
+    index shard per locale), or `max_actors` groups when that is given,
+    never more groups than segments.  An actorless engine holds one
+    in-process group over every segment.
 
     A group holds ONE SegmentSearcher over all its segments, a single
     row space with one copy of the postings, so every operator runs

@@ -7,9 +7,11 @@ segment's public Arrow result (`with_meta=True`, the default), concat,
 global (score desc, doc key asc) top-k, and for collapse the first row
 per field value.  Every top-k operator must return a table EQUAL to it
 (schema, every column, order) on the local engine, on an actor engine
-whose single group holds every segment, and on the default actor
-engine — in 64-bit and in wide (doc_id_bits=128) id mode, including
-documents that share their low 64 bits.
+whose single group holds every segment, on one with a group per
+segment (so the engine's cross-group merge runs), and on the default
+actor engine (one group per node) — in 64-bit and in wide
+(doc_id_bits=128) id mode, including documents that share their low 64
+bits.
 """
 
 import dataclasses
@@ -184,7 +186,9 @@ def test_every_topk_operator_matches_per_segment_merge(indexes, mode):
     local = QueryEngine(indexes[mode], use_actors=False)
     engines = {"local": local,
                "one_group": QueryEngine(indexes[mode], use_actors=True, max_actors=1),
-               "actors": QueryEngine(indexes[mode], use_actors=True)}
+               "actors": QueryEngine(indexes[mode], use_actors=True,
+                                     max_actors=len(local.segments)),
+               "default": QueryEngine(indexes[mode], use_actors=True)}
     assert len(engines["actors"]._actors) == len(local.segments)
     searchers = [SegmentSearcher(local.index_dir, seg, local.cfg) for seg in local.segments]
     try:
@@ -201,7 +205,7 @@ def test_every_topk_operator_matches_per_segment_merge(indexes, mode):
                 assert got.equals(want), (mode, op, name, got.to_pylist(), want.to_pylist())
                 assert e_call(eng).equals(want_empty), (mode, op, name)
     finally:
-        for name in ("one_group", "actors"):
+        for name in ("one_group", "actors", "default"):
             engines[name].close()
 
 
@@ -213,7 +217,9 @@ def test_search_many_equals_per_query_search(indexes, mode):
     local = QueryEngine(indexes[mode], use_actors=False)
     engines = {"local": local,
                "one_group": QueryEngine(indexes[mode], use_actors=True, max_actors=1),
-               "actors": QueryEngine(indexes[mode], use_actors=True)}
+               "actors": QueryEngine(indexes[mode], use_actors=True,
+                                     max_actors=len(local.segments)),
+               "default": QueryEngine(indexes[mode], use_actors=True)}
     hot, _ = _terms(local)
     queries = [_or(hot[:2]), MISSING, hot[2], f"{hot[0]} {hot[1]}",
                ast.And(ast.Term(hot[0]), ast.Term(hot[1]))]
@@ -233,8 +239,83 @@ def test_search_many_equals_per_query_search(indexes, mode):
             assert empty.column_names == [*ids, "score", "repo", "path", "commit", "lang",
                                           "query_id"]
     finally:
-        for name in ("one_group", "actors"):
+        for name in ("one_group", "actors", "default"):
             engines[name].close()
+
+
+def test_actor_groups_one_per_cpu_node(indexes, monkeypatch):
+    """the default actor engine makes one group per alive Ray node that
+    has a CPU, never more than the segments: on the one-node test
+    session that is one group holding the local engine's segments.  An
+    explicit max_actors still asks for that many groups."""
+    import ray
+
+    local = QueryEngine(indexes["64"], use_actors=False)
+    assert len(local.segments) == 3
+    default = QueryEngine(indexes["64"], use_actors=True)
+    two = QueryEngine(indexes["64"], use_actors=True, max_actors=2)
+    try:
+        assert len(default._actors) == 1
+        assert default.actor_segments == [local.segments] == [local._group.searcher.segs]
+        assert len(two._actors) == 2 and two.actor_segments == [local.segments[0::2],
+                                                                 local.segments[1::2]]
+    finally:
+        default.close()
+        two.close()
+    # no cluster needed: the plan reads ray.nodes() once, at construction
+    nodes = [{"NodeID": "head", "Alive": True, "Resources": {"memory": 1.0}},
+             {"NodeID": "w1", "Alive": True, "Resources": {"CPU": 2.0}},
+             {"NodeID": "w2", "Alive": True, "Resources": {"CPU": 2.0}},
+             {"NodeID": "gone", "Alive": False, "Resources": {"CPU": 2.0}}]
+    monkeypatch.setattr(ray, "nodes", lambda: nodes)
+    planned = QueryEngine(indexes["64"], use_actors=True)
+    try:
+        assert planned.actor_segments == [local.segments[0::2], local.segments[1::2]]
+        assert len(planned._actors) == 2
+    finally:
+        planned.close()
+    # more CPU nodes than segments: one group per segment
+    nodes += [{"NodeID": f"w{i}", "Alive": True, "Resources": {"CPU": 1.0}}
+              for i in range(3, 6)]
+    capped = QueryEngine(indexes["64"], use_actors=True)
+    try:
+        assert capped.actor_segments == [[seg] for seg in local.segments]
+    finally:
+        capped.close()
+
+
+def test_max_actors_validation(indexes):
+    """None (one group per node) or an int >= 1; anything else is a
+    one-line ValueError, before any actor starts."""
+    for bad in (0, -1, 2.5, True, "2"):
+        for use_actors in (True, False):
+            with pytest.raises(ValueError, match="max_actors must be an integer >= 1"):
+                QueryEngine(indexes["64"], use_actors=use_actors, max_actors=bad)
+    eng = QueryEngine(indexes["64"], use_actors=True, max_actors=np.int64(2))
+    try:
+        assert len(eng._actors) == 2
+    finally:
+        eng.close()
+
+
+def test_closed_actor_engine_raises(indexes):
+    """after close() every group call raises — a closed engine never
+    answers 0 hits or "doc lacks term"."""
+    local = QueryEngine(indexes["64"], use_actors=False)
+    hot, _ = _terms(local)
+    doc = local.search(hot[0], k=1)["doc_id"][0].as_py()
+    assert local.count(hot[0]) > 0 and local.first_position(hot[0], doc) is not None
+    eng = QueryEngine(indexes["64"], use_actors=True)
+    eng.close()
+    eng.close()  # idempotent
+    for call in (lambda: eng.count(hot[0]),
+                 lambda: eng.search(hot[0], k=K),
+                 lambda: eng.search_many([hot[0]], k=K),
+                 lambda: eng.search_boolean(_or(hot), limit=10),
+                 lambda: eng.first_position(hot[0], doc),
+                 eng.actor_nodes):
+        with pytest.raises(ValueError, match="^QueryEngine is closed$"):
+            call()
 
 
 def test_wide_colliding_low_words_tie_break_on_full_key(indexes):
