@@ -110,6 +110,41 @@ def _merge_tie_key(merged: "pa.Table"):
     return merged["doc_id"].to_numpy()
 
 
+def _positive_int(name: str, v) -> int:
+    """`v` as an int when it is an integer >= 1 (bool excluded);
+    anything else raises a one-line ValueError naming `name`."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+        raise ValueError(f"{name} must be an integer >= 1 or None, not {v!r}")
+    return int(v)
+
+
+def _group_placements(max_actors: int | None, n_segments: int) -> list:
+    """One Ray scheduling strategy per searcher group.
+
+    An int `max_actors` asks for min(max_actors, n_segments) groups,
+    SPREAD over the cluster.  None means one group per alive node that
+    has a CPU (a driver-only 0-CPU head hosts none), at most
+    n_segments of them, each pinned to its node by a soft node
+    affinity: SPREAD is best effort and can put two groups on one node
+    while another's CPUs are busy, where the affinity waits for that
+    node (and goes elsewhere only if the node is gone or too small
+    for the group's CPU share).  Nodes
+    are read once, from a connected session; without one, plan a
+    single group, and its `.remote()` starts a one-node session."""
+    import ray
+
+    if max_actors is not None:
+        return ["SPREAD"] * min(max_actors, n_segments)
+    from ray.util.scheduling_strategies import NodeAffinitySchedulingStrategy
+
+    nodes = [n["NodeID"] for n in ray.nodes()
+             if n["Alive"] and n["Resources"].get("CPU", 0) > 0] if ray.is_initialized() else []
+    if not nodes:
+        return ["SPREAD"]
+    return [NodeAffinitySchedulingStrategy(node, soft=True)
+            for node in nodes[:n_segments]]
+
+
 def parse_query(query: str | ast.Node, default_op: str = "or") -> ast.Node:
     """Query string -> AST.  Grammar syntax (parens, quoted phrases,
     UPPERCASE AND/OR/NOT — functions/queryparse.py) routes to the
@@ -189,10 +224,8 @@ class QueryEngine:
         stats_mode: str = "eager",
         max_actors: int | None = None,
     ):
-        if max_actors is not None and (isinstance(max_actors, bool)
-                                       or not isinstance(max_actors, (int, np.integer))
-                                       or max_actors < 1):
-            raise ValueError(f"max_actors must be an integer >= 1 or None, not {max_actors!r}")
+        if max_actors is not None:
+            max_actors = _positive_int("max_actors", max_actors)
         # fractional CPUs: long-lived searcher actors must not starve
         # Ray Data read/map tasks on small clusters (a pool that
         # reserves every CPU serializes the pipeline).  0.25 keeps a
@@ -233,23 +266,20 @@ class QueryEngine:
             # searchindex.chpl:25-28 runs one index shard per locale):
             # a group evaluates all its segments as one row space, so
             # more groups on a node only add actor calls per query.
-            # Nodes count once, here: alive ones that have a CPU (a
-            # driver-only 0-CPU head hosts no group).  An int
-            # max_actors asks for that many groups instead.  Either way
-            # there are at most len(segments) groups, dealt segments
-            # round-robin (balanced when sizes are hash-uniform).
-            if max_actors is None:
-                max_actors = sum(1 for n in ray.nodes()
-                                 if n["Alive"] and n["Resources"].get("CPU", 0) > 0)
-            n_groups = max(1, min(int(max_actors), len(self.segments)))
+            # An int max_actors asks for that many groups instead.
+            # Either way there are at most len(segments) groups, dealt
+            # segments round-robin (balanced when sizes are
+            # hash-uniform), and never Ray's default packing, which
+            # would pile every group onto the first worker of a
+            # multi-node cluster and serve all queries through one
+            # node's memory bandwidth.
+            placements = _group_placements(max_actors, len(self.segments))
+            n_groups = len(placements)
             self.actor_segments = [self.segments[i::n_groups] for i in range(n_groups)]
-            # SPREAD: Ray's default packing would pile every group
-            # onto the first worker of a multi-node cluster and serve
-            # all queries through one node's memory bandwidth.
-            cls = ray.remote(num_cpus=num_cpus_per_actor,
-                             scheduling_strategy="SPREAD")(SearcherGroup)
+            cls = ray.remote(num_cpus=num_cpus_per_actor)(SearcherGroup)
             self._actors = [
-                cls.remote(index_dir, segs, self.cfg) for segs in self.actor_segments
+                cls.options(scheduling_strategy=where).remote(index_dir, segs, self.cfg)
+                for where, segs in zip(placements, self.actor_segments)
             ]
         else:
             self._group = SearcherGroup(index_dir, self.segments, self.cfg)
@@ -287,9 +317,7 @@ class QueryEngine:
         default_k, an int >= 1 is used as is, anything else raises."""
         if k is None:
             return self.cfg.default_k
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-            raise ValueError(f"k must be an integer >= 1 or None, not {k!r}")
-        return int(k)
+        return _positive_int("k", k)
 
     def _topk(self, method: str, k, collapse: str | None = None, **kw) -> pa.Table:
         """The shared top-k path: validate k, run segment operator

@@ -161,7 +161,8 @@ def test_positions_roundtrip(engine, oracle):
 
 # -------------------------------------------------------- actor path
 def test_actor_engine_matches_local(ray_session, engine, oracle):
-    eng = QueryEngine(engine.index_dir, use_actors=True)
+    # a group per segment, so the cross-group merge runs
+    eng = QueryEngine(engine.index_dir, use_actors=True, max_actors=CFG.num_segments)
     try:
         hot = _hot_terms(oracle, 2)
         tree = ast.Or(ast.Term(hot[0]), ast.Term(hot[1]))
@@ -1326,7 +1327,7 @@ def test_filtered_boolean_and_multi_column(engine, oracle, corpus):
 
 
 def test_filtered_actor_path_matches_local(ray_session, engine, oracle, corpus):
-    eng_a = QueryEngine(engine.index_dir, use_actors=True)
+    eng_a = QueryEngine(engine.index_dir, use_actors=True, max_actors=CFG.num_segments)
     try:
         lang_of = _lang_of(corpus)
         hot = _hot_terms(oracle, 2)

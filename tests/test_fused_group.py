@@ -221,7 +221,11 @@ def plain(ray_session, tmp_path_factory):
 @pytest.mark.parametrize("mode", ["64", "128", "nopos"])
 def test_first_position_reads_one_posting(plain, mode):
     local = QueryEngine(plain[mode], use_actors=False)
-    actors = QueryEngine(plain[mode], use_actors=True)
+    # one group per segment routes each doc to one of three groups;
+    # the default engine's one group holds them all
+    actors = QueryEngine(plain[mode], use_actors=True, max_actors=len(local.segments))
+    default = QueryEngine(plain[mode], use_actors=True)
+    assert len(actors._actors) == len(local.segments) == 3
     searchers = [SegmentSearcher(local.index_dir, s, local.cfg) for s in local.segments]
     try:
         stats = pq.read_table(os.path.join(local.index_dir, local.manifest.term_stats_path))
@@ -241,10 +245,11 @@ def test_first_position_reads_one_posting(plain, mode):
                     pos = s.positions(term, doc, hi)
                     has = s.probe_tfs(term, np.array([row], dtype=np.uint64))[0] > 0
                     want = None if not has else pos[0] if mode != "nopos" else 0
-                    for eng in (local, actors):
+                    for eng in (local, actors, default):
                         assert eng.first_position(term, doc, doc_hi=hi) == want, (mode, term)
                     checked += want is not None
                     absent += want is None
         assert checked > 10 and absent > 0
     finally:
         actors.close()
+        default.close()

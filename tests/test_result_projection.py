@@ -136,7 +136,11 @@ def test_collapse_codes_match_reference_and_compute_once(indexes, mode, monkeypa
     monkeypatch.setattr(searcher_mod, "column_codes",
                         lambda arr: calls.append(len(arr)) or orig(arr))
     local = QueryEngine(indexes[mode], use_actors=False)
-    actors = QueryEngine(indexes[mode], use_actors=True)
+    # one group per segment: the engine's cross-group collapse merges
+    # null and shared `lang` values; the default engine has one group
+    actors = QueryEngine(indexes[mode], use_actors=True, max_actors=len(local.segments))
+    default = QueryEngine(indexes[mode], use_actors=True)
+    assert len(actors._actors) == len(local.segments) > 1
     searchers = [SegmentSearcher(local.index_dir, seg, local.cfg) for seg in local.segments]
     try:
         langs = [set(s.docmap.table["lang"].to_pylist()) for s in searchers]
@@ -158,7 +162,8 @@ def test_collapse_codes_match_reference_and_compute_once(indexes, mode, monkeypa
             assert len(want) > 0 and got.equals(want), (i, got.to_pylist(), want.to_pylist())
             null_groups += None in got["lang"].to_pylist()
             if i < len(queries):
-                assert actors.search_collapse(node, field="lang", k=k).equals(want), i
+                for eng in (actors, default):
+                    assert eng.search_collapse(node, field="lang", k=k).equals(want), i
         assert null_groups > 0
         n_rows = len(local._group.searcher.docmap.doc_ids)
         assert calls == [n_rows]
@@ -167,6 +172,7 @@ def test_collapse_codes_match_reference_and_compute_once(indexes, mode, monkeypa
         assert codes["lang"].nbytes == 4 * n_rows
     finally:
         actors.close()
+        default.close()
 
 
 @pytest.mark.parametrize("mode", list(MODES))

@@ -362,13 +362,18 @@ def test_search_with_meta_false_identical_ids_and_scores(ray_session, tmp_path):
     build_index(ray.data.from_arrow(corpus), str(tmp_path / "midx"), cfg)
     queries = ["def return", "merge", "lang:py merge sort", "def OR merge"]
     for use_actors in (False, True):
-        eng = QueryEngine(str(tmp_path / "midx"), use_actors=use_actors)
-        for q in queries:
-            full = eng.search_parsed(q, k=6)
-            slim = eng.search_parsed(q, k=6, with_meta=False)
-            assert set(slim.column_names) == {"doc_id", "score"}
-            assert slim["doc_id"].to_pylist() == full["doc_id"].to_pylist()
-            assert slim["score"].to_pylist() == full["score"].to_pylist()
+        # a group per segment: the actor engine merges two groups' tables
+        eng = QueryEngine(str(tmp_path / "midx"), use_actors=use_actors,
+                          max_actors=cfg.num_segments)
+        try:
+            for q in queries:
+                full = eng.search_parsed(q, k=6)
+                slim = eng.search_parsed(q, k=6, with_meta=False)
+                assert set(slim.column_names) == {"doc_id", "score"}
+                assert slim["doc_id"].to_pylist() == full["doc_id"].to_pylist()
+                assert slim["score"].to_pylist() == full["score"].to_pylist()
+        finally:
+            eng.close()
 
 
 def test_cli_serve_procs_defaults_to_pipelined(ray_session, tmp_path):

@@ -245,43 +245,61 @@ def test_search_many_equals_per_query_search(indexes, mode):
 
 def test_actor_groups_one_per_cpu_node(indexes, monkeypatch):
     """the default actor engine makes one group per alive Ray node that
-    has a CPU, never more than the segments: on the one-node test
-    session that is one group holding the local engine's segments.  An
-    explicit max_actors still asks for that many groups."""
+    has a CPU, never more than the segments, each pinned to its node by
+    a soft node affinity: on the one-node test session that is one
+    group holding the local engine's segments.  An explicit max_actors
+    still asks for that many groups, SPREAD."""
     import ray
 
+    from chearch_ray.state.engine import _group_placements
+
+    here = ray.get_runtime_context().get_node_id()
     local = QueryEngine(indexes["64"], use_actors=False)
     assert len(local.segments) == 3
     default = QueryEngine(indexes["64"], use_actors=True)
     two = QueryEngine(indexes["64"], use_actors=True, max_actors=2)
     try:
-        assert len(default._actors) == 1
+        assert len(default._actors) == 1 and default.actor_nodes() == [here]
         assert default.actor_segments == [local.segments] == [local._group.searcher.segs]
         assert len(two._actors) == 2 and two.actor_segments == [local.segments[0::2],
                                                                  local.segments[1::2]]
     finally:
         default.close()
         two.close()
-    # no cluster needed: the plan reads ray.nodes() once, at construction
-    nodes = [{"NodeID": "head", "Alive": True, "Resources": {"memory": 1.0}},
-             {"NodeID": "w1", "Alive": True, "Resources": {"CPU": 2.0}},
-             {"NodeID": "w2", "Alive": True, "Resources": {"CPU": 2.0}},
-             {"NodeID": "gone", "Alive": False, "Resources": {"CPU": 2.0}}]
+    assert _group_placements(2, 3) == ["SPREAD"] * 2
+    assert _group_placements(5, 3) == ["SPREAD"] * 3
+    # no cluster needed: the plan reads ray.nodes() once, at
+    # construction.  These node ids are not in the session, so each
+    # soft affinity falls back to the one real node.
+    fake = [f"{i:02x}" * 28 for i in range(8)]
+    nodes = [{"NodeID": fake[0], "Alive": True, "Resources": {"memory": 1.0}},
+             {"NodeID": fake[1], "Alive": True, "Resources": {"CPU": 2.0}},
+             {"NodeID": fake[2], "Alive": True, "Resources": {"CPU": 2.0}},
+             {"NodeID": fake[3], "Alive": False, "Resources": {"CPU": 2.0}}]
     monkeypatch.setattr(ray, "nodes", lambda: nodes)
+    plan = _group_placements(None, 3)
+    assert [p.node_id for p in plan] == fake[1:3] and all(p.soft for p in plan)
     planned = QueryEngine(indexes["64"], use_actors=True)
     try:
         assert planned.actor_segments == [local.segments[0::2], local.segments[1::2]]
-        assert len(planned._actors) == 2
+        assert planned.actor_nodes() == [here, here]
     finally:
         planned.close()
     # more CPU nodes than segments: one group per segment
-    nodes += [{"NodeID": f"w{i}", "Alive": True, "Resources": {"CPU": 1.0}}
-              for i in range(3, 6)]
+    nodes += [{"NodeID": fake[i], "Alive": True, "Resources": {"CPU": 1.0}}
+              for i in range(4, 8)]
+    assert [p.node_id for p in _group_placements(None, 3)] == fake[1:3] + fake[4:5]
     capped = QueryEngine(indexes["64"], use_actors=True)
     try:
         assert capped.actor_segments == [[seg] for seg in local.segments]
     finally:
         capped.close()
+    # a caller without a connected session gets one group (its
+    # .remote() starts a one-node session); ray.nodes() would raise
+    monkeypatch.setattr(ray, "nodes", lambda: pytest.fail("ray.nodes() read"))
+    with monkeypatch.context() as m:
+        m.setattr(ray, "is_initialized", lambda: False)
+        assert _group_placements(None, 3) == ["SPREAD"]
 
 
 def test_max_actors_validation(indexes):
@@ -444,8 +462,10 @@ def test_cli_search_rejects_k_zero(indexes):
 @pytest.mark.parametrize("use_actors", [False, True])
 def test_filtered_boolean_honours_with_meta(indexes, use_actors):
     """search_boolean(filter=…, with_meta=False) is id-only: its columns
-    and rows are the unfiltered id-only result narrowed to the filter."""
-    eng = QueryEngine(indexes["64"], use_actors=use_actors)
+    and rows are the unfiltered id-only result narrowed to the filter;
+    the actor engine has a group per segment, so the groups' filtered
+    tables merge."""
+    eng = QueryEngine(indexes["64"], use_actors=use_actors, max_actors=3)
     try:
         hot, _ = _terms(eng)
         node, limit = _or(hot), eng.n_docs + 1
