@@ -128,9 +128,9 @@ def _group_placements(max_actors: int | None, n_segments: int) -> list:
     affinity: SPREAD is best effort and can put two groups on one node
     while another's CPUs are busy, where the affinity waits for that
     node (and goes elsewhere only if the node is gone or too small
-    for the group's CPU share).  Nodes
-    are read once, from a connected session; without one, plan a
-    single group, and its `.remote()` starts a one-node session."""
+    for the group's CPU share).  Nodes are read once, from a connected
+    session; without one, plan a single group, and its `.remote()`
+    starts a one-node session."""
     import ray
 
     if max_actors is not None:
