@@ -114,7 +114,7 @@ def _positive_int(name: str, v) -> int:
     """`v` as an int when it is an integer >= 1 (bool excluded);
     anything else raises a one-line ValueError naming `name`."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-        raise ValueError(f"{name} must be an integer >= 1 or None, not {v!r}")
+        raise ValueError(f"{name} must be an integer >= 1, not {v!r}")
     return int(v)
 
 
@@ -1018,9 +1018,8 @@ class QueryEngine:
 
         if not _WORD_RE.fullmatch(t):
             raise ValueError(f"span_first takes one plain term, not {term!r}")
-        if limit_pos < 1:
-            raise ValueError("limit_pos must be >= 1")
-        return self._topk("search_span_first", k, term=t, limit_pos=int(limit_pos),
+        return self._topk("search_span_first", k, term=t,
+                          limit_pos=_positive_int("limit_pos", limit_pos),
                           idfs=self.idfs_for(ast.Term(t)), avgdl=self.avgdl,
                           with_meta=with_meta, flt=filter)
 
@@ -1394,6 +1393,7 @@ class QueryEngine:
         default; `ordered=True` requires term_b AFTER term_a).
         Requires store_positions=True at build time.  Results are
         BM25-ranked over the two terms (score desc, doc_id asc)."""
+        slop = _positive_int("slop", slop)
         term_a, term_b = term_a.lower(), term_b.lower()
         idfs = {
             t: bm25_idf(self.n_docs, self.df(t))
@@ -1415,6 +1415,7 @@ class QueryEngine:
         semantics for two distinct terms).  Duplicate terms dedupe.
         Requires store_positions=True at build time.  BM25-ranked over
         the unique terms (score desc, doc_id asc)."""
+        slop = _positive_int("slop", slop)
         terms = list(dict.fromkeys(t.lower() for t in terms))
         if not terms:
             raise ValueError("empty NEAR term list")

@@ -55,11 +55,10 @@ from chearch_ray.state.segment import (DocmapReader, PostingsPartReader, _string
 _EMPTY_U64 = np.empty(0, dtype=np.uint64)
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
-# phrase verification: max bytes for the scatter/gather membership
-# table (candidates x max_start_position); above this the sorted-key
-# intersection path runs instead.  256 MB covers a whole 2^24-doc
-# segment of short docs or ~10^5 long-doc candidates.
-_PHRASE_FLAG_BUDGET_BYTES = 256 << 20
+# positional verification (`_window_survivors`): most bytes one
+# window's presence table may take; larger windows, and sparse ones,
+# run as batched searchsorted instead
+_WINDOW_TABLE_BUDGET_BYTES = 256 << 20
 #: metadata-filter predicates cached per searcher; an entry can hold one
 #: uint64 per doc (128 MiB per 2^24-doc segment)
 _FILTER_CACHE_MAX = 64
@@ -1271,7 +1270,7 @@ class SegmentSearcher:
         lengths, flat = res
         return int(flat[0]) if lengths[0] else 0
 
-    # --------------------------------------------------------- phrase mode
+    # ------------------------------------------------ phrase and proximity
     def search_phrase(
         self,
         terms: list[str],
@@ -1287,26 +1286,89 @@ class SegmentSearcher:
         for some start position p, term i appears at p+i for every i.
         Survivors are BM25-scored over the phrase terms (same float
         contract as search_bm25)."""
-        if self.docmap is None or not terms:
-            return self._project(_EMPTY_U64, scores=np.empty(0), with_meta=with_meta)
-        if not self.cfg.store_positions:
-            raise ValueError(
-                "phrase queries require an index built with store_positions=True"
-            )
         # NB max_positions_per_doc truncation can hide matches past the
         # cap — phrase recall is only exact with the cap disabled.
-        # Unique terms, first-seen order (oracle float contract — a
-        # repeated phrase term must not contribute twice).
+        windows = [(t, i, i) for i, t in enumerate(terms[1:], 1)]
+        docs, scores = self._positional_topk(terms, k, idfs, avgdl, terms[:1], windows)
+        return self._project(docs, scores=scores, with_meta=with_meta)
+
+    def search_near(
+        self,
+        term_a: str,
+        term_b: str,
+        slop: int,
+        ordered: bool,
+        k: int,
+        idfs: dict[str, float],
+        avgdl: float,
+        with_meta: bool = True,
+    ) -> pa.Table:
+        """Proximity (NEAR/slop) query over the stored position lists —
+        the unordered/ordered generalization of search_phrase for two
+        terms (positions are the engine-level form of the reference's
+        per-posting textLocation, documentid.chpl:17-18).  A candidate
+        (= conjunction of both terms) survives when some occurrence
+        pair (pa, pb) has |pb - pa| <= slop (unordered) or
+        1 <= pb - pa <= slop (ordered); for term_a == term_b the pair
+        is two distinct occurrences.  Survivors are BM25-scored over
+        the query terms (same float contract as search_bm25), and
+        verification runs lazily in final ranking order with the exact
+        early exit search_phrase uses.  QueryEngine validates
+        slop >= 1."""
+        lo = 1 if ordered or term_a == term_b else -slop
+        docs, scores = self._positional_topk([term_a, term_b], k, idfs, avgdl,
+                                             [term_a], [(term_b, lo, slop)])
+        return self._project(docs, scores=scores, with_meta=with_meta)
+
+    def search_near_all(
+        self,
+        terms: list[str],
+        slop: int,
+        k: int,
+        idfs: dict[str, float],
+        avgdl: float,
+        with_meta: bool = True,
+    ) -> pa.Table:
+        """N-term unordered proximity (span-near): a candidate (=
+        conjunction of all terms) survives when some window of
+        positions [q, q+slop] contains at least one occurrence of
+        EVERY term — i.e. an occurrence choice with max − min <= slop.
+        Exactness of the anchored check: a valid choice's minimum
+        occurrence q is itself an occurrence, and its window contains
+        every chosen occurrence; conversely any anchor window
+        satisfying all terms is such a choice.  Duplicate terms are
+        deduplicated (no multiplicity requirement); one distinct term
+        matches every candidate.  Survivors are BM25-scored over the
+        unique terms and verified lazily in final ranking order with
+        search_phrase's exact early exit.  QueryEngine validates
+        slop >= 1."""
+        terms = list(dict.fromkeys(terms))
+        windows = [(t, 0, slop) for t in terms] if len(terms) > 1 else []
+        docs, scores = self._positional_topk(terms, k, idfs, avgdl, terms, windows)
+        return self._project(docs, scores=scores, with_meta=with_meta)
+
+    def _positional_topk(
+        self, terms: list[str], k: int, idfs: dict[str, float], avgdl: float,
+        anchor_terms: list[str], windows: list[tuple[str, int, int]],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(docs, scores) of the first <= k candidates, in ranking
+        order, that pass `_window_survivors(…, anchor_terms, windows)`.
+        Candidates are the conjunction of `terms`, BM25-scored over
+        the unique terms in first-seen order (oracle float contract: a
+        repeated term must not contribute twice), and verified lazily
+        in final ranking order (`_lazy_rank_verify`)."""
+        if self.docmap is None or not terms:
+            return _EMPTY_U64, np.empty(0)
+        if not self.cfg.store_positions:
+            raise ValueError("phrase and NEAR queries require an index built "
+                             "with store_positions=True")
         candidates, scores = self._conjunctive_scored(
             list(dict.fromkeys(terms)), idfs, avgdl
         )
-        if len(candidates) == 0:
-            return self._project(candidates, scores=np.empty(0), with_meta=with_meta)
-        docs, doc_scores = self._lazy_rank_verify(
+        return self._lazy_rank_verify(
             candidates, scores, k,
-            lambda cand: self._phrase_survivor_rows(terms, cand),
+            lambda cand: self._window_survivors(cand, anchor_terms, windows),
         )
-        return self._project(docs, scores=doc_scores, with_meta=with_meta)
 
     def _conjunctive_scored(
         self, uniq_terms: list[str], idfs: dict[str, float], avgdl: float
@@ -1409,319 +1471,69 @@ class SegmentSearcher:
         which = np.searchsorted(bounds, pos, side="right") - 1
         return first[which] + (pos - bounds[which])
 
-    def _phrase_survivor_rows(self, terms: list[str], candidates: np.ndarray) -> np.ndarray:
-        """Vectorized phrase verification over the candidate set: for
-        each term i, flatten all candidate position lists into
-        (candidate_row, position - i) keys packed into uint64, then one
-        sorted-intersection pass per term — no per-candidate Python
-        loop (VERDICT r01 item 7).  Returns ascending ROW indices into
-        `candidates` (which may be in any order — row keys are built
-        from positional order, not doc-id order)."""
+    def _window_survivors(
+        self, candidates: np.ndarray, anchor_terms: list[str],
+        windows: list[tuple[str, int, int]],
+    ) -> np.ndarray:
+        """The one positional verification: ascending ROW indices into
+        `candidates` (any order; every candidate holds every term) of
+        the candidates with some occurrence p of an `anchor_terms` term
+        such that, for EVERY window (t, lo, hi), term t occurs in
+        [p + lo, p + hi].  No windows: every candidate survives.
+
+        Occurrences are gathered once per distinct term (lazy: only the
+        skip blocks the candidate rows live in decode) and packed into
+        one integer key row * stride + reach + pos, as the reference
+        packs textLocation << 24 | documentIndex into one operand
+        (documentid.chpl:40-42); `reach` on both sides of a row keeps
+        every window inside it.  Windows run in order, each against the
+        anchors still alive, so survivors shrink window by window.  Per
+        window one density rule picks the strategy: a table over the
+        m * stride key space with every cell marked whose window holds
+        a key of t (one gather per anchor), or two batched searchsorted
+        calls into t's sorted keys."""
         m = len(candidates)
-        if m == 0:
-            return np.empty(0, dtype=np.int64)
-        if len(terms) == 1:
-            # a one-term "phrase" is just the term: every candidate
-            # (they all contain it) matches — no position work at all
+        if not windows:
             return np.arange(m, dtype=np.int64)
-
-        # Two key representations, same semantics (key identifies a
-        # phrase START slot (candidate_row, position - i)):
-        #  * flag-array: a uint8 membership table over row*stride+slot,
-        #    O(occurrences) scatter/gather — beats the O(n log n)
-        #    sorted intersection ~3x on hot-term phrases, but needs
-        #    m*stride bytes, so it is budget-gated;
-        #  * sorted uint64 (row << 32 | slot) intersection — the
-        #    always-correct fallback for huge candidate sets.
-        flag: np.ndarray | None = None  # flag-array survivor table
-        stride = 0
-        keys: np.ndarray | None = None  # current survivor keys (sorted)
-        for i, t in enumerate(terms):
+        occ: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for t in dict.fromkeys([*anchor_terms, *(w[0] for w in windows)]):
             reader = self.shards.get(self._sharder.shard_of(t))
-            if reader is None:
-                return _EMPTY_I64
-            idx = self._posting_row_indices(t, candidates)  # candidates ⊆ postings
-            # lazy positions: decode only the skip blocks the candidate
-            # rows live in (packed pos_blob + per-block pos_off) — a
-            # hot term's positions never fully decode for a sparse
-            # candidate set; the flat variant skips the Arrow
-            # take/flatten/convert round-trip entirely
-            res = reader.positions_rows_flat(t, idx)
-            if res is None:
+            res = (reader.positions_rows_flat(t, self._posting_row_indices(t, candidates))
+                   if reader is not None else None)
+            if res is None or len(res[1]) == 0:
                 return _EMPTY_I64  # positions unavailable -> no exact match
-            lengths, vals = res  # int64, ascending per row
-            if i == 0:
-                if len(vals) == 0:
-                    return _EMPTY_I64
-                # stride covers every slot the first term can start at;
-                # later terms' out-of-range slots cannot match and are
-                # masked out before the table lookup
-                stride = int(vals.max()) + 1
-                if m * stride <= _PHRASE_FLAG_BUDGET_BYTES:
-                    rows64 = np.repeat(np.arange(m, dtype=np.int64), lengths)
-                    k0 = rows64 * stride + vals.astype(np.int64)
-                    flag = np.zeros(m * stride, dtype=np.uint8)
-                    flag[k0] = 1
-                    continue
-            if flag is not None:
-                rows64 = np.repeat(np.arange(m, dtype=np.int64), lengths)
-                slot = vals.astype(np.int64) - i
-                ok = (slot >= 0) & (slot < stride)
-                k = rows64[ok] * stride + slot[ok]
-                k = k[flag[k] == 1]  # keys stay ascending (rows asc, pos asc)
-                if len(k) == 0:
-                    return _EMPTY_I64
-                if i + 1 < len(terms):
-                    # survivors shrink monotonically: rebuild a fresh
-                    # table from the (small) surviving key set
-                    flag = np.zeros(m * stride, dtype=np.uint8)
-                    flag[k] = 1
-                keys = k
-                continue
-            rows = np.repeat(np.arange(m, dtype=np.uint64), lengths)
-            shifted = vals.astype(np.uint64)  # position - i, wraparound marks <i
-            shifted -= np.uint64(i)
-            ok = shifted < np.uint64(1 << 32)  # excludes positions < i (wrapped)
-            # (row << 32) | (pos - i) is ALREADY ascending: rows are
-            # emitted in ascending candidate order and positions ascend
-            # within each row — no sort needed before the intersection
-            k = (rows[ok] << np.uint64(32)) | shifted[ok]
-            keys = k if keys is None else intersect_sorted(keys, k)
-            if len(keys) == 0:
+            occ[t] = res  # (lengths, positions ascending per row)
+        reach = max(max(hi, -lo) for _, lo, hi in windows)
+        stride = 2 * reach + int(max(v.max() for _, v in occ.values())) + 1
+        base = np.arange(m, dtype=np.int64) * stride + reach
+        # ascending per term: rows ascend, positions ascend within a row
+        keys = {t: np.repeat(base, lengths) + vals for t, (lengths, vals) in occ.items()}
+        anchors = np.concatenate([keys[t] for t in anchor_terms])
+        if len(anchor_terms) > 1:
+            anchors.sort()
+        size = m * stride
+        for t, lo, hi in windows:
+            kt = keys[t]
+            # the density rule: the table takes a byte per cell and
+            # eight per mark; zeroing a byte costs a tiny fraction of a
+            # binary search, so it runs while it takes <= 256 bytes per
+            # key checked (sparse keys search instead), within the budget
+            table_bytes = size + 8 * len(kt) * (hi - lo + 1)
+            if table_bytes <= min(_WINDOW_TABLE_BUDGET_BYTES,
+                                  256 * (len(anchors) + len(kt))):
+                # cell c is marked when some key of t lies in [c + lo, c + hi]
+                marked = np.zeros(size, dtype=bool)
+                marked[(kt[:, None] - np.arange(lo, hi + 1)).ravel()] = True
+                hit = marked[anchors]
+            else:
+                hit = (np.searchsorted(kt, anchors + lo, side="left")
+                       < np.searchsorted(kt, anchors + hi, side="right"))
+            anchors = anchors[hit]
+            if len(anchors) == 0:
                 return _EMPTY_I64
-        if flag is not None:
-            rows_of = (keys // stride).astype(np.int64)
-        else:
-            rows_of = (keys >> np.uint64(32)).astype(np.int64)
-        # keys sorted -> rows_of sorted; run-detect instead of np.unique
-        survivor_rows = rows_of[
-            np.concatenate([[True], rows_of[1:] != rows_of[:-1]])
-        ]
-        return survivor_rows
-
-    # ----------------------------------------------------- proximity mode
-    def search_near(
-        self,
-        term_a: str,
-        term_b: str,
-        slop: int,
-        ordered: bool,
-        k: int,
-        idfs: dict[str, float],
-        avgdl: float,
-        with_meta: bool = True,
-    ) -> pa.Table:
-        """Proximity (NEAR/slop) query over the stored position lists —
-        the unordered/ordered generalization of search_phrase for two
-        terms (positions are the engine-level form of the reference's
-        per-posting textLocation, documentid.chpl:17-18).  A candidate
-        (= conjunction of both terms) survives when some occurrence
-        pair (pa, pb) has |pb - pa| <= slop (unordered) or
-        1 <= pb - pa <= slop (ordered).  Survivors are BM25-scored over
-        the query terms (same float contract as search_bm25), and
-        verification runs lazily in final ranking order with the exact
-        early exit search_phrase uses."""
-        if self.docmap is None:
-            return self._project(_EMPTY_U64, scores=np.empty(0), with_meta=with_meta)
-        if not self.cfg.store_positions:
-            raise ValueError(
-                "NEAR queries require an index built with store_positions=True"
-            )
-        if slop < 1:
-            raise ValueError("slop must be >= 1")
-        candidates, scores = self._conjunctive_scored(
-            list(dict.fromkeys([term_a, term_b])), idfs, avgdl
-        )
-        if len(candidates) == 0:
-            return self._project(candidates, scores=np.empty(0), with_meta=with_meta)
-        docs, doc_scores = self._lazy_rank_verify(
-            candidates, scores, k,
-            lambda cand: self._near_survivor_rows(term_a, term_b, slop, ordered, cand),
-        )
-        return self._project(docs, scores=doc_scores, with_meta=with_meta)
-
-    def _near_survivor_rows(
-        self,
-        term_a: str,
-        term_b: str,
-        slop: int,
-        ordered: bool,
-        candidates: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized proximity verification: all candidates' b-side
-        positions become one sorted (row * stride + pos) key array;
-        each a-side occurrence then checks its window [pos-slop,
-        pos+slop] (or (pos, pos+slop] ordered) with two batched
-        searchsorted calls — no per-candidate Python loop.  stride >
-        max_pos + slop keeps windows from crossing row boundaries
-        after clamping.  Returns ascending ROW indices into
-        `candidates`."""
-        m = len(candidates)
-        if m == 0:
-            return _EMPTY_I64
-
-        def _occurrences(term: str) -> tuple[np.ndarray, np.ndarray] | None:
-            reader = self.shards.get(self._sharder.shard_of(term))
-            if reader is None:
-                return None
-            idx = self._posting_row_indices(term, candidates)
-            res = reader.positions_rows_flat(term, idx)
-            if res is None:
-                return None  # positions unavailable -> no exact match
-            lengths, vals = res
-            rows = np.repeat(np.arange(m, dtype=np.int64), lengths)
-            return rows, vals
-
-        occ_a = _occurrences(term_a)
-        occ_b = occ_a if term_b == term_a else _occurrences(term_b)
-        if occ_a is None or occ_b is None:
-            return _EMPTY_I64
-        rows_a, pos_a = occ_a
-        rows_b, pos_b = occ_b
-        if len(pos_a) == 0 or len(pos_b) == 0:
-            return _EMPTY_I64
-        stride = int(max(pos_a.max(), pos_b.max())) + slop + 2
-        keys_b = rows_b * stride + pos_b  # ascending: rows asc, pos asc per row
-        base = rows_a * stride
-        anchor = base + pos_a
-        lo = np.maximum(anchor + (1 if ordered else -slop), base)
-        hi = np.minimum(anchor + slop, base + (stride - 1))
-        # work-based gate (see _near_all_survivor_rows): dense
-        # prefix-sum only when the table is comparable to the work
-        # searchsorted would do
-        if (m * stride * 4 <= _PHRASE_FLAG_BUDGET_BYTES
-                and m * stride <= 8 * (len(anchor) + len(keys_b))):
-            # prefix-sum window count (see _near_all_survivor_rows):
-            # count of b-occurrences in [lo, hi] from one cumsum + two
-            # gathers, O(occ) instead of O(anchors log occ)
-            size = m * stride
-            pres = np.zeros(size, dtype=np.int32)
-            pres[keys_b] = 1
-            cum = np.cumsum(pres)
-            n_in = (cum[np.minimum(hi, size - 1)]
-                    - np.where(lo > 0, cum[np.maximum(lo - 1, 0)], 0))
-        else:
-            left = np.searchsorted(keys_b, lo, side="left")
-            right = np.searchsorted(keys_b, hi, side="right")
-            n_in = right - left
-        if term_a == term_b and not ordered:
-            # keys_b contains the anchor itself exactly once (same
-            # term): "another occurrence within slop" needs >= 2 keys
-            # in the window
-            hit = n_in >= 2
-        else:
-            hit = n_in > 0
-        hitrows = rows_a[hit]
-        if len(hitrows) == 0:
-            return _EMPTY_I64
-        return hitrows[np.concatenate([[True], hitrows[1:] != hitrows[:-1]])]
-
-    def search_near_all(
-        self,
-        terms: list[str],
-        slop: int,
-        k: int,
-        idfs: dict[str, float],
-        avgdl: float,
-        with_meta: bool = True,
-    ) -> pa.Table:
-        """N-term unordered proximity (span-near): a candidate (=
-        conjunction of all terms) survives when some window of
-        positions [q, q+slop] contains at least one occurrence of
-        EVERY term — i.e. an occurrence choice with max − min <= slop.
-        Exactness of the anchored check: a valid choice's minimum
-        occurrence q is itself an occurrence, and its window contains
-        every chosen occurrence; conversely any anchor window
-        satisfying all terms is such a choice.  Duplicate terms are
-        deduplicated (no multiplicity requirement).  Survivors are
-        BM25-scored over the unique terms and verified lazily in
-        final ranking order with search_phrase's exact early exit."""
-        terms = list(dict.fromkeys(terms))
-        if self.docmap is None or not terms:
-            return self._project(_EMPTY_U64, scores=np.empty(0), with_meta=with_meta)
-        if not self.cfg.store_positions:
-            raise ValueError(
-                "NEAR queries require an index built with store_positions=True"
-            )
-        if slop < 1:
-            raise ValueError("slop must be >= 1")
-        candidates, scores = self._conjunctive_scored(terms, idfs, avgdl)
-        if len(candidates) == 0:
-            return self._project(candidates, scores=np.empty(0), with_meta=with_meta)
-        if len(terms) == 1:
-            # one distinct term: every candidate trivially matches
-            order = topk_order(scores, self._tie_key(candidates), k)
-            return self._project(candidates[order], scores=scores[order],
-                                 with_meta=with_meta)
-        docs, doc_scores = self._lazy_rank_verify(
-            candidates, scores, k,
-            lambda cand: self._near_all_survivor_rows(terms, slop, cand),
-        )
-        return self._project(docs, scores=doc_scores, with_meta=with_meta)
-
-    def _near_all_survivor_rows(
-        self, terms: list[str], slop: int, candidates: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized N-term window verification: every occurrence of
-        every term is a window ANCHOR (row*stride + pos keys); each
-        term's sorted key array answers "occurrence in [q, q+slop]?"
-        for all anchors with two batched searchsorted calls.  An
-        anchor survives when all terms hit; a candidate survives when
-        any of its anchors does.  stride > max_pos + slop keeps
-        windows inside their row.  No per-candidate Python loop."""
-        m = len(candidates)
-        if m == 0:
-            return _EMPTY_I64
-
-        rows_l: list[np.ndarray] = []
-        pos_l: list[np.ndarray] = []
-        for t in terms:
-            reader = self.shards.get(self._sharder.shard_of(t))
-            if reader is None:
-                return _EMPTY_I64
-            idx = self._posting_row_indices(t, candidates)
-            res = reader.positions_rows_flat(t, idx)
-            if res is None:
-                return _EMPTY_I64  # positions unavailable -> no match
-            lengths, vals = res
-            if len(vals) == 0:
-                return _EMPTY_I64
-            rows_l.append(np.repeat(np.arange(m, dtype=np.int64), lengths))
-            pos_l.append(vals)
-        stride = int(max(p.max() for p in pos_l)) + slop + 2
-        keys = [r * stride + p for r, p in zip(rows_l, pos_l)]  # asc per term
-        anchors = np.concatenate(keys)
-        anchor_rows = np.concatenate(rows_l)
-        ok = np.ones(len(anchors), dtype=bool)
-        # dense prefix-sum does O(m·stride) zeros+cumsum per term vs
-        # searchsorted's O(anchors·log occ): worth it only when the
-        # table is comparable to the anchor count (exhaustive verifies)
-        # — the lazy top-k path (m ~ 64) always prefers searchsorted
-        if (m * stride * 4 <= _PHRASE_FLAG_BUDGET_BYTES
-                and m * stride <= 8 * len(anchors)):
-            # prefix-sum window check: O(occurrences) scatter + one
-            # cumsum per term, then two gathers per (term, anchor) —
-            # replaces the O(anchors log occ) searchsorted pass, which
-            # dominated the hot 3-term span-near (~28 ms/query at 100k
-            # docs).  stride > max_pos + slop keeps [q, q+slop] inside
-            # its row's block, so no window crosses a row boundary.
-            size = m * stride
-            for kt in keys:
-                pres = np.zeros(size, dtype=np.int32)
-                pres[kt] = 1
-                cum = np.cumsum(pres)
-                hi = cum[np.minimum(anchors + slop, size - 1)]
-                lo = np.where(anchors > 0, cum[np.maximum(anchors - 1, 0)], 0)
-                ok &= (hi - lo) > 0
-        else:
-            for kt in keys:
-                left = np.searchsorted(kt, anchors, side="left")
-                right = np.searchsorted(kt, anchors + slop, side="right")
-                ok &= left < right
-        hitrows = anchor_rows[ok]
-        if len(hitrows) == 0:
-            return _EMPTY_I64
-        return np.unique(hitrows)
+        rows = anchors // stride
+        # anchors sorted -> rows sorted; run-detect instead of np.unique
+        return rows[np.concatenate([[True], rows[1:] != rows[:-1]])]
 
 
 class SearcherGroup:

@@ -474,34 +474,46 @@ def test_phrase_search(engine, oracle, corpus):
     assert phrase_docs <= and_docs
 
 
-def test_phrase_flag_path_matches_sorted_fallback(engine, corpus, monkeypatch):
-    """The budget-gated scatter/gather membership table and the sorted
-    uint64-key intersection are two implementations of the same phrase
-    verification — identical result tables, phrase by phrase."""
+def test_window_table_path_matches_sorted_path(engine, corpus, monkeypatch):
+    """`_window_survivors` checks each window through a marked table
+    over the candidates' key space or through batched searchsorted;
+    the two are the same verification.  With the table budget at 0
+    (searchsorted only) every phrase (point windows; 4 terms narrow
+    the anchors window by window), ordered, unordered and same-term
+    NEAR and N-term NEAR (range windows) returns the identical table
+    to the default run, where this small corpus's dense keys take
+    the table."""
     import re
 
     from chearch_ray.state import searcher as searcher_mod
 
     texts = corpus["content"].to_pylist()
-    phrases = []
+    calls = []
     for t in texts[:10]:
         toks = [x for x in re.split(r"[^a-z0-9_]+", t.lower()) if x]
         if len(toks) >= 4:
-            phrases.append(toks[0:2])
-            phrases.append(toks[0:4])  # >2 terms: table-rebuild path
-    phrases.append(["__never_present__", "def"])
-    flag_results = [engine.search_phrase(p, k=50) for p in phrases]
-    monkeypatch.setattr(searcher_mod, "_PHRASE_FLAG_BUDGET_BYTES", 0)
-    for p, want in zip(phrases, flag_results):
-        assert engine.search_phrase(p, k=50).equals(want), p
+            calls.append(("search_phrase", dict(phrase=toks[0:2])))
+            calls.append(("search_phrase", dict(phrase=toks[0:4])))
+            for slop in (1, 3, 8):
+                calls.append(("search_near", dict(term_a=toks[0], term_b=toks[3], slop=slop)))
+                calls.append(("search_near", dict(term_a=toks[3], term_b=toks[0], slop=slop,
+                                                  ordered=True)))
+                calls.append(("search_near", dict(term_a=toks[1], term_b=toks[1], slop=slop)))
+                calls.append(("search_near_all", dict(terms=toks[0:3], slop=slop)))
+    calls.append(("search_phrase", dict(phrase=["__never_present__", "def"])))
+    table_results = [getattr(engine, name)(k=50, **kw) for name, kw in calls]
+    monkeypatch.setattr(searcher_mod, "_WINDOW_TABLE_BUDGET_BYTES", 0)
+    for (name, kw), want in zip(calls, table_results):
+        assert getattr(engine, name)(k=50, **kw).equals(want), (name, kw)
 
 
 def test_phrase_rank_ordered_early_exit(ray_session, tmp_path, monkeypatch):
-    """Phrase verification runs in final-ranking order and stops once k
-    survivors exist: on a corpus where the phrase matches everywhere,
-    only the first chunk of candidates is position-verified; a
-    candidate-heavy phrase with ZERO matches still verifies the whole
-    conjunction (exactness of the exhaustion path)."""
+    """Phrase and NEAR verification run in final-ranking order and stop
+    once k survivors exist: on a corpus where the phrase (and the
+    ordered NEAR of the same pair) matches everywhere, only the first
+    chunk of candidates is position-verified; a candidate-heavy query
+    with ZERO matches still verifies the whole conjunction (exactness
+    of the exhaustion path)."""
     import ray.data
 
     from chearch_ray.state import searcher as searcher_mod
@@ -523,21 +535,26 @@ def test_phrase_rank_ordered_early_exit(ray_session, tmp_path, monkeypatch):
     eng = QueryEngine(idx, use_actors=False)
 
     verified = []
-    orig = searcher_mod.SegmentSearcher._phrase_survivor_rows
+    orig = searcher_mod.SegmentSearcher._window_survivors
 
-    def spy(self, terms, candidates):
+    def spy(self, candidates, anchor_terms, windows):
         verified.append(len(candidates))
-        return orig(self, terms, candidates)
+        return orig(self, candidates, anchor_terms, windows)
 
-    monkeypatch.setattr(searcher_mod.SegmentSearcher, "_phrase_survivor_rows", spy)
-    got = eng.search_phrase("zalpha zbeta", k=3)
-    assert len(got) == 3
+    monkeypatch.setattr(searcher_mod.SegmentSearcher, "_window_survivors", spy)
+
+    def hits_and_verified(call):
+        verified.clear()
+        return len(call()), sum(verified)
+
     # one 64-candidate chunk (max(4k, 64)) out of 600 candidates
-    assert sum(verified) == 64, verified
-    verified.clear()
-    empty = eng.search_phrase("zbeta zalpha", k=3)
-    assert len(empty) == 0
-    assert sum(verified) == n, verified  # zero survivors -> full exhaustion
+    assert hits_and_verified(lambda: eng.search_phrase("zalpha zbeta", k=3)) == (3, 64)
+    assert hits_and_verified(
+        lambda: eng.search_near("zalpha", "zbeta", slop=1, ordered=True, k=3)) == (3, 64)
+    # zero survivors -> full exhaustion
+    assert hits_and_verified(lambda: eng.search_phrase("zbeta zalpha", k=3)) == (0, n)
+    assert hits_and_verified(
+        lambda: eng.search_near("zbeta", "zalpha", slop=1, ordered=True, k=3)) == (0, n)
 
 
 def test_phrase_with_repeated_term(engine, oracle, corpus):
@@ -663,6 +680,25 @@ def test_near_all_two_term_matches_pairwise_near(engine, oracle):
     assert s2 <= s8
     with pytest.raises(ValueError):
         engine.search_near_all([a, b], slop=0)
+
+
+def test_positional_int_arguments_are_validated(engine):
+    """slop and limit_pos are checked once, at the engine: a float, a
+    str or a bool is a one-line ValueError naming the argument, never
+    numpy's TypeError, a comparison TypeError or a silent int()
+    truncation; numpy integers are accepted as ints."""
+    calls = {
+        "slop": [lambda v: engine.search_near("def", "return", slop=v, k=5),
+                 lambda v: engine.search_near_all(["def", "return"], slop=v, k=5)],
+        "limit_pos": [lambda v: engine.search_span_first("def", v, k=5)],
+    }
+    for name, fns in calls.items():
+        for fn in fns:
+            for bad in (1.5, 2.9, "3", True, 0):
+                with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, not ") as e:
+                    fn(bad)
+                assert "\n" not in str(e.value)
+            assert fn(np.int64(3)).equals(fn(3))
 
 
 # ------------------------------------------------- skip-block laziness

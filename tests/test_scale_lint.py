@@ -393,6 +393,29 @@ def _non_projecting_returns(source: str) -> list[tuple[str, int]]:
     return sites
 
 
+#: the SegmentSearcher methods that read position lists, once each
+POSITION_READERS = ("first_position", "search_span_first", "_window_survivors")
+
+
+def _stray_position_reads(source: str) -> list[tuple[str, int]]:
+    """(method, line) of every `positions_rows_flat` call in a
+    SegmentSearcher method (a nested function's call counted as its
+    method's) outside POSITION_READERS, or past a reader's first."""
+    cls = next(n for n in ast.parse(source).body
+               if isinstance(n, ast.ClassDef) and n.name == "SegmentSearcher")
+    seen, stray = set(), []
+    for fn in cls.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "positions_rows_flat"):
+                if fn.name not in POSITION_READERS or fn.name in seen:
+                    stray.append((fn.name, node.lineno))
+                seen.add(fn.name)
+    return stray
+
+
 def _meta_column_loops(source: str) -> list[int]:
     """lines of every loop or comprehension over RESULT_META_COLUMNS"""
     lines = []
@@ -436,3 +459,30 @@ def test_result_tables_have_one_schema():
              "x = {n: 1 for n in RESULT_META_COLUMNS}\n"
              "y = [n for n in COLUMNS]\n")
     assert _meta_column_loops(loops) == [1, 3]
+
+
+def test_positions_are_read_in_one_place():
+    """Phrase, NEAR and N-term NEAR verify through ONE routine, so the
+    positional path cannot fork again into per-operator survivor
+    routines, each with its own gather, keys and strategy gate: in
+    state/searcher.py `positions_rows_flat` is called once by
+    `_window_survivors` (the one occurrences gather) and otherwise only
+    by `search_span_first` and `first_position`."""
+    source = open(os.path.join(STATE_DIR, "searcher.py")).read()
+    assert not _stray_position_reads(source), _stray_position_reads(source)
+    assert all(f"def {m}(" in source for m in POSITION_READERS)
+    probe = ("class SegmentSearcher:\n"
+             "    def _phrase_survivor_rows(self, terms, c):\n"
+             "        return r.positions_rows_flat(t, idx)\n"
+             "    def _near_survivor_rows(self, a, b, slop, ordered, c):\n"
+             "        def _occurrences(term):\n"
+             "            return r.positions_rows_flat(term, idx)\n"
+             "        return _occurrences(a)\n"
+             "    def _near_all_survivor_rows(self, terms, slop, c):\n"
+             "        return r.positions_rows_flat(t, idx)\n"
+             "    def _window_survivors(self, c, anchors, windows):\n"
+             "        x = r.positions_rows_flat(t, idx)\n"
+             "        return r.positions_rows_flat(t, idx)\n")
+    assert _stray_position_reads(probe) == [
+        ("_phrase_survivor_rows", 3), ("_near_survivor_rows", 6),
+        ("_near_all_survivor_rows", 9), ("_window_survivors", 12)]
