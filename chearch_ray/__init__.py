@@ -5,7 +5,8 @@ From-scratch reimplementation of the capabilities of briangu/chearch
 
 - corpus = ray.data.Dataset of Parquet rows (repo, path, commit, lang, content)
 - index build = map_batches(tokenize) -> partitioned run exchange -> one
-  finalize task per partition (write segment)
+  finalize wave of ~2 x cluster-CPU tasks, a segment's parts together
+  (write segments)
 - segments = immutable Parquet files (delta+varint postings, block-max skip data)
 - query = SegmentSearcher actor pool, scatter-gather + driver merge
   (doc-hash partitioning across segments, mirroring reference

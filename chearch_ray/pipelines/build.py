@@ -4,8 +4,9 @@
       └─ map_batches(TokenizeCorpus)     # tokenize once: per-term sorted
          │                               # posting runs + docmap rows
          └─ write_parquet(_shuffle/, partition_cols=[part(, salt)])
-            └─ one finalize task per part: sort, encode, write the
-               postings or docmap file + lineage  # THE shuffle
+            └─ finalize wave, ~2 x cluster CPUs tasks, each a
+               contiguous run of segment-ordered parts: sort, encode,
+               write the postings or docmap files + lineage  # THE shuffle
 
 then (tiny, metadata-sized):
       term_stats  = read postings parts (term,count columns) -> groupby sum
@@ -37,7 +38,8 @@ import ray.data
 from chearch_ray.config import DEFAULT_CONFIG, EngineConfig
 from functools import partial
 
-from chearch_ray.stages.postings import write_unified_part
+from chearch_ray.stages.partition import cluster_cpus
+from chearch_ray.stages.postings import _read_runs, _segment_keys, write_unified_part
 from chearch_ray.stages.tokenize import TokenizeCorpus
 from chearch_ray.state import segment as seg_io
 from chearch_ray.state.segment import LineageRecord, Manifest
@@ -131,8 +133,9 @@ def _partitioned_shuffle(unified, index_dir: str, cfg: EngineConfig, done: froze
     hive-partitioned parquet runs under <index>/_shuffle/part=N/
     (Ray Data's sort-based groupby is a full O(n log n) comparison
     sort of every posting row; partitioning by the 2-digit part key
-    is O(n) and embarrassingly parallel).  Stage 2 finalizes each
-    partition in its own task: read that partition's runs, sort
+    is O(n) and embarrassingly parallel).  Stage 2 finalizes the
+    partitions in one wave of about 2 x cluster-CPU tasks
+    (`plan_finalize_chunks`): per partition, read its runs, sort
     within the partition, encode, write the segment file + lineage.
 
     The run directory is itself a checkpoint: it survives a stage-2
@@ -176,33 +179,26 @@ def _partitioned_shuffle(unified, index_dir: str, cfg: EngineConfig, done: froze
     else:
         _check_resumed_runs(run_dir)
 
+    n_posting_parts = cfg.num_segments * cfg.num_term_shards
     items = []
     for d in glob.glob(os.path.join(run_dir, "part=*")):
         part = int(os.path.basename(d).split("=")[1])
         if part not in done:
-            items.append({"part": part, "dir": d})
-    # the small docmap partitions first, so a build killed mid-wave
-    # has usually committed them
-    n_posting_parts = cfg.num_segments * cfg.num_term_shards
-    items.sort(key=lambda it: (it["part"] < n_posting_parts, it["part"]))
+            docmap = part >= n_posting_parts
+            items.append({
+                "kind": "docmap" if docmap else "postings",
+                "part": part,
+                "seg": part - n_posting_parts if docmap else part // cfg.num_term_shards,
+                "dir": d,
+            })
 
-    if items:
-        # one block per partition so each finalize runs as its own
-        # task (from_items packs everything into one block otherwise).
-        # Postings and docmap partitions finalize in the same wave: a
-        # postings task reads its segment's doc ids from the docmap
-        # partition's runs to map them to ordinals
-        finalize_ds = ray.data.from_items(
-            items, override_num_blocks=len(items)
-        ).map_batches(
-            partial(_finalize_from_runs, cfg=cfg, index_dir=index_dir),
-            batch_format="pyarrow",
-            batch_size=1,
-            num_cpus=1,
-        )
-        finalize_ds.take_all()
-        if os.environ.get("CHEARCH_RAY_BUILD_STATS"):
-            print(finalize_ds.stats())
+    # Postings and docmap partitions finalize in the same wave: a
+    # postings part reads its segment's doc ids from the docmap
+    # partition's runs to map them to ordinals
+    finalize_ds = run_finalize_wave(
+        items, partial(_finalize_from_runs, cfg=cfg, index_dir=index_dir))
+    if finalize_ds is not None and os.environ.get("CHEARCH_RAY_BUILD_STATS"):
+        print(finalize_ds.stats())
     if not os.environ.get("CHEARCH_RAY_KEEP_RUNS"):  # debugging / byte audits
         shutil.rmtree(run_dir, ignore_errors=True)
 
@@ -220,27 +216,78 @@ def _check_resumed_runs(run_dir: str) -> None:
         )
 
 
-def _finalize_from_runs(batch, cfg: EngineConfig, index_dir: str):
-    """Stage-2 task: one row = one partition to finalize."""
-    import pyarrow.dataset as pads
+def plan_finalize_chunks(items: list[dict], num_cpus: int) -> list[list[dict]]:
+    """The finalize wave's task plan, one chunk per task, in launch
+    order.  `items` carry `seg`, `kind` ("docmap" or "postings") and
+    `part`.  They are ordered by segment, each segment's docmap part
+    first and then its postings parts, and that list is cut into
+    min(len(items), 2 x num_cpus) contiguous chunks whose sizes differ
+    by at most one.  Contiguity keeps a segment's parts together, so a
+    task reads the segment's doc keys once; with fewer segments than
+    tasks a segment's parts spread over several tasks instead of
+    running in series.
 
+    Docmap parts then run first: at the head of their chunk, and their
+    chunks launch before the others.  They are small, so a build
+    killed mid-wave has usually committed every docmap, which its
+    resume keeps."""
+    ordered = sorted(items, key=lambda it: (it["seg"], it["kind"] != "docmap", it["part"]))
+    n = min(len(ordered), 2 * num_cpus)
+    if n == 0:
+        return []
+    size, extra = divmod(len(ordered), n)
+    chunks, start = [], 0
+    for i in range(n):
+        end = start + size + (i < extra)
+        chunks.append(sorted(ordered[start:end], key=lambda it: it["kind"] != "docmap"))
+        start = end
+    return sorted(chunks, key=lambda c: c[0]["kind"] != "docmap")
+
+
+def run_finalize_wave(items: list[dict], fn):
+    """Run `fn` over `items` in the tasks `plan_finalize_chunks` sizes
+    to the cluster: one block per chunk, `batch_size=None`, so each
+    task gets its whole chunk as one batch.  Returns the executed
+    dataset (None when there is nothing to run).  A retried task
+    re-runs its whole chunk; the atomic part writers keep that
+    byte-identical."""
+    chunks = plan_finalize_chunks(items, cluster_cpus())
+    if not chunks:
+        return None
+    ds = ray.data.from_arrow([pa.Table.from_pylist(c) for c in chunks]).map_batches(
+        fn, batch_format="pyarrow", batch_size=None, num_cpus=1,
+    )
+    ds.take_all()
+    return ds
+
+
+def _finalize_from_runs(batch, cfg: EngineConfig, index_dir: str):
+    """Stage-2 task: finalize one planned chunk of partitions (one row
+    each: kind, part, seg, dir).  A segment's sorted doc keys are read
+    once per task and handed to each of its postings parts."""
+    seg_keys = {}
     outs = []
     for row in batch.to_pylist():
-        part, d = int(row["part"]), row["dir"]
-        table = pads.dataset(d, format="parquet").to_table()
+        part, seg = int(row["part"]), int(row["seg"])
+        table = _read_runs(row["dir"])
         if "part" in table.column_names:
             table = table.drop_columns(["part"])
         table = table.add_column(
             0, "part", pa.array([part] * len(table), type=pa.int32())
         )
-        outs.append(write_unified_part(table, cfg=cfg, index_dir=index_dir))
+        keys = None
+        if row["kind"] == "postings":
+            if seg not in seg_keys:
+                seg_keys[seg] = _segment_keys(cfg, index_dir, seg)
+            keys = seg_keys[seg]
+        outs.append(write_unified_part(table, cfg=cfg, index_dir=index_dir, seg_keys=keys))
     return pa.concat_tables(outs)
 
 
 #: part count above which term-stats aggregation goes through Ray
 #: instead of a sequential driver read loop: at the config's own
 #: segment-cap scale note (~6e4 segments x shards) the loop would be
-#: ~10^6 sequential pq.read_table calls on the driver
+#: ~10^6 sequential part-file reads on the driver
 TERM_STATS_PARALLEL_PARTS = 64
 
 
@@ -261,7 +308,7 @@ def _aggregate_term_stats(index_dir: str, postings_parts: list[dict],
     paths = [os.path.join(index_dir, p["path"]) for p in postings_parts]
     if len(paths) <= parallel_threshold:
         all_counts = pa.concat_tables(
-            pq.read_table(p, columns=["term", "count"]) for p in paths
+            pq.ParquetFile(p).read(columns=["term", "count"]) for p in paths
         )
         return (
             all_counts.group_by("term", use_threads=False)

@@ -84,7 +84,7 @@ def load_tombstone_ids(index_dir: str) -> dict | None:
 
 def compact_index(index_dir: str, out_dir: str) -> Manifest:
     """Rewrite the index into `out_dir` without its tombstoned docs
-    (per-partition Ray tasks, no global shuffle); output is
+    (one merge wave, no global shuffle); output is
     byte-identical to a fresh build over the surviving corpus and has
     an empty tombstone set.  A no-op copy-shaped compact (no
     tombstones) is also valid — it re-finalizes every partition."""
@@ -116,7 +116,7 @@ def upsert_docs(index_dir: str, corpus, cfg=None, scratch_dir: str | None = None
 
     Scale shape: the delta build is the normal distributed pipeline
     over ONLY the new rows, and the merge rewrites each term partition
-    once (per-partition Ray tasks, no global shuffle) — no
+    once (one merge wave, no global shuffle) — no
     full-corpus re-tokenization.  Swap is atomic-ish: merged dir moves
     in after the old moves aside, so a crash leaves one complete
     index."""

@@ -27,7 +27,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from chearch_ray.config import EngineConfig
-from chearch_ray.pipelines.build import commit_manifest
+from chearch_ray.pipelines.build import commit_manifest, run_finalize_wave
 from chearch_ray.stages.postings import DocmapWriter, _finalize_part
 from chearch_ray.state import segment as seg_io
 from chearch_ray.state.segment import Manifest
@@ -105,9 +105,10 @@ def _drop_mask(lo: np.ndarray, hi: np.ndarray | None, drop: dict) -> np.ndarray:
     return dkeys[pos_c] != keys
 
 
-def _merge_one_part(batch: pa.Table, cfg_dict: dict, input_dirs: list[str], out_dir: str,
-                    drop: dict | list | None = None) -> pa.Table:
-    """ray task: merge one partition id across all inputs, optionally
+def _merge_parts(batch: pa.Table, cfg_dict: dict, input_dirs: list[str], out_dir: str,
+                 drop: dict | list | None = None) -> pa.Table:
+    """ray task: merge one planned chunk of partition ids (rows: kind,
+    part, seg; `build.plan_finalize_chunks`) across all inputs, optionally
     dropping documents in `drop` ({"lo": uint64 array, "hi": array or
     None}) — the compaction path (pipelines.lifecycle.compact_index).
     A LIST of drop sets (one per input, None allowed) applies each set
@@ -151,18 +152,24 @@ def _merge_one_part(batch: pa.Table, cfg_dict: dict, input_dirs: list[str], out_
             raise ValueError(f"duplicate doc ids across merge inputs in docmap seg {seg}")
         return cat, keys
 
+    id_cols = ["doc_id_hi", "doc_id"] if wide else ["doc_id"]
+    # per segment, read once per task: each input's id columns (they
+    # translate its ordinals) and the merged segment's sorted keys
+    seg_ids = {}
     outs = []
     for row in batch.to_pylist():
-        part = int(row["part"])
+        part, seg_id = int(row["part"]), int(row["seg"])
         if row["kind"] == "docmap":
-            cat, _ = _segment_docs(part, _input_docmaps(part))
+            docmaps = _input_docmaps(part)
+            cat, keys = _segment_docs(part, docmaps)
+            seg_ids[seg_id] = ([None if t is None else t.select(id_cols) for t in docmaps], keys)
             cat = cat.append_column("seg", pa.array([part] * len(cat), type=pa.int32()))
             outs.append(DocmapWriter(cfg, out_dir)(cat))
             continue
-        seg_id = part // cfg.num_term_shards
-        # each input's id columns, read once: they translate its
-        # ordinals and make up the merged segment's keys
-        docmaps = _input_docmaps(seg_id, ["doc_id_hi", "doc_id"] if wide else ["doc_id"])
+        if seg_id not in seg_ids:
+            docmaps = _input_docmaps(seg_id, id_cols)
+            seg_ids[seg_id] = (docmaps, _segment_docs(seg_id, docmaps)[1])
+        docmaps, seg_keys = seg_ids[seg_id]
         tables = []
         for d, dset, ids in zip(input_dirs, drops, docmaps):
             p = os.path.join(d, seg_io.postings_rel_path(part))
@@ -176,7 +183,6 @@ def _merge_one_part(batch: pa.Table, cfg_dict: dict, input_dirs: list[str], out_
         sort_keys = [("term", "ascending"), ("doc_id", "ascending")]
         if wide:
             sort_keys.insert(1, ("doc_hi", "ascending"))
-        _, seg_keys = _segment_docs(seg_id, docmaps)
         g = flat.take(pc.sort_indices(flat, sort_keys=sort_keys))
         outs.append(_finalize_part(cfg, out_dir, part, g, seg_keys))
     return pa.concat_tables(outs)
@@ -185,7 +191,8 @@ def _merge_one_part(batch: pa.Table, cfg_dict: dict, input_dirs: list[str], out_
 def merge_indexes(input_dirs: list[str], out_dir: str,
                   drop_ids: dict | list | None = None) -> Manifest:
     """Merge built indexes (same structural config, disjoint doc ids)
-    into `out_dir`; per-partition ray tasks, no global shuffle.  Output
+    into `out_dir`; one wave of tasks sized to the cluster
+    (`build.run_finalize_wave`), no global shuffle.  Output
     partitions are byte-identical to a from-scratch build over the
     union corpus.
 
@@ -196,8 +203,6 @@ def merge_indexes(input_dirs: list[str], out_dir: str,
     which the docmap task writes) — never a silent ordinal-space
     mixup."""
     import dataclasses
-
-    import ray.data
 
     manifests = [Manifest.load(d) for d in input_dirs]
     cfg = manifests[0].engine_config
@@ -222,18 +227,10 @@ def merge_indexes(input_dirs: list[str], out_dir: str,
     cfg_dict = dataclasses.asdict(cfg)
     cfg_dict["input_columns"] = tuple(cfg_dict.get("input_columns", ()))
 
-    items = ([{"kind": "postings", "part": p} for p in posting_parts]
-             + [{"kind": "docmap", "part": s} for s in doc_segs])
-    if items:
-        (
-            ray.data.from_items(items, override_num_blocks=len(items))
-            .map_batches(
-                partial(_merge_one_part, cfg_dict=cfg_dict, input_dirs=list(input_dirs),
-                        out_dir=out_dir, drop=drop_ids),
-                batch_format="pyarrow",
-                batch_size=1,
-                num_cpus=1,
-            )
-            .take_all()
-        )
+    items = ([{"kind": "postings", "part": p, "seg": p // cfg.num_term_shards}
+              for p in posting_parts]
+             + [{"kind": "docmap", "part": s, "seg": s} for s in doc_segs])
+    run_finalize_wave(items, partial(_merge_parts, cfg_dict=cfg_dict,
+                                     input_dirs=list(input_dirs), out_dir=out_dir,
+                                     drop=drop_ids))
     return commit_manifest(out_dir, cfg)

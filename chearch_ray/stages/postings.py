@@ -30,11 +30,13 @@ from chearch_ray.functions.codec import encode_postings_bulk
 from chearch_ray.state import segment as seg_io
 
 
-def write_unified_part(group: pa.Table, cfg: EngineConfig, index_dir: str) -> pa.Table:
+def write_unified_part(group: pa.Table, cfg: EngineConfig, index_dir: str,
+                       seg_keys: np.ndarray | None = None) -> pa.Table:
     """Finalize one partition of the unified run schema
     (stages/tokenize.UNIFIED_SCHEMA): EITHER a postings partition
     (part < num_segments*num_term_shards; rows = per-term sorted
-    partial runs from the map-side combine) or a docmap partition
+    partial runs from the map-side combine; `seg_keys` = its
+    segment's `_segment_keys`) or a docmap partition
     (part = n_posting_parts + seg)."""
     if len(group) == 0:
         return _empty_summary()
@@ -42,7 +44,7 @@ def write_unified_part(group: pa.Table, cfg: EngineConfig, index_dir: str) -> pa
     n_posting_parts = cfg.num_segments * cfg.num_term_shards
     wide = cfg.doc_id_bits == 128
     if part < n_posting_parts:
-        return _finalize_runs(cfg, index_dir, part, group)
+        return _finalize_runs(cfg, index_dir, part, group, seg_keys)
     seg_id = part - n_posting_parts
     meta_cols = {
         "seg": pa.array([seg_id] * len(group), type=pa.int32()),
@@ -269,11 +271,12 @@ def _finalize_part(cfg: EngineConfig, index_dir: str, part: int, g: pa.Table,
     return _summary_row("postings", part, rel, len(table), int(n_postings), sha)
 
 
-def _finalize_runs(cfg: EngineConfig, index_dir: str, part: int, group: pa.Table) -> pa.Table:
+def _finalize_runs(cfg: EngineConfig, index_dir: str, part: int, group: pa.Table,
+                   seg_keys: np.ndarray) -> pa.Table:
     """flatten one postings partition's runs back to posting rows,
-    sort per term, encode + write.  A term's runs come from different
-    input batches (or salts), so they are disjoint sorted sequences;
-    concat+sort merges them."""
+    sort per term, encode + write against its segment's sorted keys.
+    A term's runs come from different input batches (or salts), so
+    they are disjoint sorted sequences; concat+sort merges them."""
     _maybe_fail_injection(index_dir)
     _maybe_sleep_injection(index_dir)
     doc_lists = _combine(group["doc_ids"])
@@ -294,8 +297,18 @@ def _finalize_runs(cfg: EngineConfig, index_dir: str, part: int, group: pa.Table
         sort_keys = [("term", "ascending"), ("doc_hi", "ascending"), ("doc_id", "ascending")]
     flat = pa.table(flat_cols)
     order = pc.sort_indices(flat, sort_keys=sort_keys)
-    seg_keys = _segment_keys(cfg, index_dir, part // cfg.num_term_shards)
     return _finalize_part(cfg, index_dir, part, flat.take(order), seg_keys)
+
+
+def _read_runs(run_dir: str, columns: list[str] | None = None) -> pa.Table:
+    """every run file of one shuffle partition (salt subdirs included),
+    in sorted path order.  A ParquetFile per file costs a fraction of
+    a dataset scan's discovery on small runs; finalize sorts what it
+    reads, so file order never reaches a part's bytes."""
+    import glob
+
+    files = sorted(glob.glob(os.path.join(run_dir, "**", "*.parquet"), recursive=True))
+    return pa.concat_tables([pq.ParquetFile(f).read(columns=columns) for f in files])
 
 
 def _segment_keys(cfg: EngineConfig, index_dir: str, seg: int) -> np.ndarray:
@@ -303,18 +316,12 @@ def _segment_keys(cfg: EngineConfig, index_dir: str, seg: int) -> np.ndarray:
     own finalize wave from its docmap partition's run files — or from
     its committed docmap, when a resumed build kept that and so wrote
     no runs for it."""
-    import glob
-
     wide = cfg.doc_id_bits == 128
     cols = ["doc_id_hi", "doc_id"] if wide else ["doc_id"]
     runs = os.path.join(index_dir, "_shuffle",
                         f"part={cfg.num_segments * cfg.num_term_shards + seg}")
     if os.path.isdir(runs):
-        # every postings task makes this read: ParquetFile per run file
-        # (salt subdirs included) costs a quarter of a dataset scan's
-        # discovery on small runs
-        files = sorted(glob.glob(os.path.join(runs, "**", "*.parquet"), recursive=True))
-        t = pa.concat_tables([pq.ParquetFile(f).read(columns=cols) for f in files])
+        t = _read_runs(runs, cols)
     else:
         t = pq.read_table(os.path.join(index_dir, seg_io.docmap_rel_path(seg)), columns=cols)
     hi = t["doc_id_hi"].to_numpy() if wide else None
