@@ -179,8 +179,9 @@ def run_bench() -> dict:
     timings["missing_local_p50_ms"] = p50_local(q_missing)
 
     # phrase p50: a real two-hot-term phrase ('return if' occurs in the
-    # code corpus) — skip-probed conjunction, lazy per-block positions,
-    # sorted (row,pos) key intersection
+    # code corpus) — skip-probed conjunction, each term's positions
+    # decoded once and gathered per candidate, sorted (row,pos) key
+    # intersection
     eng_local.search_phrase("return if", k=10)
     samples = []
     for _ in range(QUERY_REPS):

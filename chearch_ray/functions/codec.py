@@ -170,14 +170,6 @@ def block_span(enc: EncodedPostings, blocks: np.ndarray,
     return first, end - first
 
 
-def block_of_rows(enc: EncodedPostings, rows: np.ndarray, block_size: int) -> np.ndarray:
-    """the block holding each posting index in `rows`"""
-    rows = np.asarray(rows, dtype=np.int64)
-    if enc.block_first is None:
-        return rows // block_size
-    return np.searchsorted(enc.block_first, rows, side="right") - 1
-
-
 def block_bases(enc: EncodedPostings, blocks: np.ndarray) -> np.ndarray:
     """uint64 value each of `blocks` decodes its deltas against"""
     blocks = np.asarray(blocks, dtype=np.int64)

@@ -222,35 +222,19 @@ def _finalize_part(cfg: EngineConfig, index_dir: str, part: int, g: pa.Table,
     if pos_col is not None:
         # per-term positions blob: the per-posting packed varint-delta
         # cells (tokenize packed them once) concatenate BYTE-WISE into
-        # one blob per term — no re-encoding — plus per-skip-block byte
-        # offsets for lazy block decode (same geometry as block_doc_off)
+        # one blob per term — no re-encoding
         if isinstance(pos_col, pa.ChunkedArray):
             pos_col = pos_col.combine_chunks()
         poff = np.frombuffer(pos_col.buffers()[1], dtype=np.int32)[
             pos_col.offset : pos_col.offset + len(pos_col) + 1
         ].astype(np.int64)
-        pos_buf = pos_col.buffers()[2]
         term_pos_off = poff[bounds]  # absolute byte offset at each term start
         if term_pos_off[-1] >= (1 << 31):
             raise ValueError("positions blob exceeds 2 GiB — raise num_term_shards")
         cols["pos_blob"] = pa.Array.from_buffers(
             pa.binary(),
             len(bounds) - 1,
-            [None, pa.py_buffer(term_pos_off.astype(np.int32).tobytes()), pos_buf],
-        )
-        # per-block byte offsets relative to the term's blob start,
-        # with the block->posting mapping recomputed exactly as the
-        # bulk encoder derives it
-        n_blocks_per_term = np.diff(np.asarray(blk_off)).astype(np.int64)
-        block_term = np.repeat(np.arange(len(starts)), n_blocks_per_term)
-        block_idx_in_term = (
-            np.arange(int(n_blocks_per_term.sum()))
-            - np.asarray(blk_off)[:-1][block_term]
-        )
-        blk_post = starts[block_term] + block_idx_in_term * cfg.block_size
-        pos_block_off = poff[blk_post] - term_pos_off[block_term]
-        cols["pos_off"] = pa.ListArray.from_arrays(
-            blk_off, pa.array(pos_block_off.astype(np.int64), type=pa.int64())
+            [None, pa.py_buffer(term_pos_off.astype(np.int32).tobytes()), pos_col.buffers()[2]],
         )
     table = pa.table(cols)
 

@@ -49,8 +49,9 @@ from chearch_ray import ast
 from chearch_ray.config import EngineConfig
 from chearch_ray.functions.codec import block_span, decode_blocks, decode_postings
 from chearch_ray.pipelines.lifecycle import load_tombstone_ids
-from chearch_ray.state.segment import (DocmapReader, PostingsPartReader, _string_view,  # noqa: F401
-                                       docmap_rel_path, postings_rel_path)
+from chearch_ray.state.segment import (_POS_CACHE_MAX, DocmapReader,  # noqa: F401
+                                       PostingsPartReader, _string_view, docmap_rel_path,
+                                       postings_rel_path)
 
 _EMPTY_U64 = np.empty(0, dtype=np.uint64)
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -885,7 +886,7 @@ class SegmentSearcher:
             # positions are immutable per searcher; memoize the firsts
             # (one int64 per posting) so repeat span-first queries on
             # a hot term skip the flat gather entirely
-            if len(self._first_pos_cache) > 1024:
+            if len(self._first_pos_cache) >= _POS_CACHE_MAX:
                 self._first_pos_cache.clear()
             self._first_pos_cache[term] = first
         sel = first < limit_pos
@@ -1243,32 +1244,35 @@ class SegmentSearcher:
         return t.add_column(score_at, _SCORE_FIELD, pa.array(scores, type=pa.float64()))
 
     # --------------------------------------------------------- positions
-    def positions(self, term: str, doc_id: int, doc_hi: int | None = None) -> list[int]:
-        """Per-occurrence token positions (reference textLocation
-        analogue) of external doc (`doc_hi`, `doc_id`), for conformance
-        checks."""
-        reader = self.shards.get(self._sharder.shard_of(term))
-        if reader is None:
-            return []
-        pos = reader.positions(term)
-        idx = self._posting_index(term, doc_id, doc_hi)
-        return [] if pos is None or idx is None else pos[idx]
-
-    def first_position(self, term: str, doc_id: int, doc_hi: int | None = None):
-        """First token position of `term` in `doc_id`, 0 when the doc
-        matches but positions are not stored, None when the doc does
-        not contain the term (serving-layer helper).  In wide-id mode
-        pass the external pair (`doc_hi`, `doc_id`).  Reads that one
-        posting's positions (`positions_rows_flat`), not the term's."""
+    def _posting_positions(self, term: str, doc_id: int, doc_hi: int | None):
+        """the positions of one posting, `term` in external doc
+        (`doc_hi`, `doc_id`), as an int64 array (empty when the index
+        stores none); None when the doc does not contain the term.
+        The one-posting read of `positions` and `first_position`: one
+        row of `positions_rows_flat`."""
         i = self._posting_index(term, doc_id, doc_hi)
         if i is None:
             return None
         reader = self.shards[self._sharder.shard_of(term)]
         res = reader.positions_rows_flat(term, np.array([i], dtype=np.int64))
-        if res is None:
-            return 0
-        lengths, flat = res
-        return int(flat[0]) if lengths[0] else 0
+        return np.empty(0, dtype=np.int64) if res is None else res[1]
+
+    def positions(self, term: str, doc_id: int, doc_hi: int | None = None) -> list[int]:
+        """Per-occurrence token positions (reference textLocation
+        analogue) of external doc (`doc_hi`, `doc_id`), for conformance
+        checks."""
+        pos = self._posting_positions(term, doc_id, doc_hi)
+        return [] if pos is None else pos.tolist()
+
+    def first_position(self, term: str, doc_id: int, doc_hi: int | None = None):
+        """First token position of `term` in `doc_id`, 0 when the doc
+        matches but positions are not stored, None when the doc does
+        not contain the term (serving-layer helper).  In wide-id mode
+        pass the external pair (`doc_hi`, `doc_id`)."""
+        pos = self._posting_positions(term, doc_id, doc_hi)
+        if pos is None:
+            return None
+        return int(pos[0]) if len(pos) else 0
 
     # ------------------------------------------------ phrase and proximity
     def search_phrase(

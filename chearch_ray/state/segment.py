@@ -44,15 +44,15 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from chearch_ray.config import EngineConfig
-from chearch_ray.functions.codec import (EncodedPostings, block_of_rows, block_span,
-                                         concat_geometry)
+from chearch_ray.functions.codec import (EncodedPostings, concat_geometry, decode_tfs,
+                                         unpack_position_blob, varint_decode)
 
 #: 2: 64-bit postings hold docmap row ordinals, as wide ones always
 #: did (version 1 stored the hashed external ids in 64-bit postings)
 MANIFEST_VERSION = 2
 
-#: entries kept in each per-term positions cache of PostingsPartReader
-#: before it is cleared
+#: terms kept in a positions cache (PostingsPartReader's decoded terms,
+#: SegmentSearcher's first positions) before it is cleared
 _POS_CACHE_MAX = 1024
 
 POSTINGS_SCHEMA = pa.schema(
@@ -65,10 +65,11 @@ POSTINGS_SCHEMA = pa.schema(
         ("block_max_tf", pa.list_(pa.uint32())),
         ("block_doc_off", pa.list_(pa.int64())),
         ("block_tf_off", pa.list_(pa.int64())),
-        # packed positions: per-term varint-delta blob + per-skip-block
-        # byte offsets; absent when store_positions=False.
+        # packed positions: per-term varint-delta blob; absent when
+        # store_positions=False.  Parts written before this layout also
+        # carry a per-skip-block byte offsets column, `pos_off`, which
+        # the reader does not read.
         ("pos_blob", pa.binary()),
-        ("pos_off", pa.list_(pa.int64())),
     ]
 )
 
@@ -295,7 +296,7 @@ def _row(col: tuple[np.ndarray, np.ndarray], i: int) -> np.ndarray:
 
 #: per-term columns a postings part holds as flat buffers
 _FLAT_COLUMNS = ("doc_blob", "tf_blob", "block_last", "block_max_tf", "block_doc_off",
-                 "block_tf_off", "pos_blob", "pos_off")
+                 "block_tf_off", "pos_blob")
 
 
 def _fuse_parts(tables: list[pa.Table], row_offsets: list[int], block_size: int):
@@ -337,13 +338,11 @@ def _fuse_parts(tables: list[pa.Table], row_offsets: list[int], block_size: int)
     off = np.asarray(row_offsets, dtype=np.uint64)[seg]
     block_last = cols["block_last"][0] + off[row_of_block]
     cols["block_last"] = (block_last, block_offs)
-    for c, blob in (("block_doc_off", "doc_blob"), ("block_tf_off", "tf_blob"),
-                    ("pos_off", "pos_blob")):
-        if c in cols:
-            # where each taken row starts inside its term's fused blob
-            offs = row_offs[blob]
-            within = (offs[:-1] - np.repeat(offs[run_start], run_len)).astype(np.int64)
-            cols[c] = (cols[c][0] + within[row_of_block], cols[c][1])
+    for c, blob in (("block_doc_off", "doc_blob"), ("block_tf_off", "tf_blob")):
+        # where each taken row starts inside its term's fused blob
+        offs = row_offs[blob]
+        within = (offs[:-1] - np.repeat(offs[run_start], run_len)).astype(np.int64)
+        cols[c] = (cols[c][0] + within[row_of_block], cols[c][1])
     counts = big["count"].to_numpy()[order].astype(np.int64)
     # each run's first posting index inside its term's list
     before = np.cumsum(counts) - counts
@@ -366,26 +365,37 @@ class PostingsPartReader:
     Every per-term column is held as one flat numpy buffer plus row
     offsets (`_flat_column`, the reference's flat pools addressed by
     pool index, memorysegment.chpl:86-122): serving a term is a few
-    slices, with no Arrow scalar built on any query path."""
+    slices, with no Arrow scalar built on any query path.
+
+    Positions have one route: `positions_rows_flat` decodes a term's
+    whole blob once into one bounded cache and gathers rows from it
+    (the reference reads positions from one flat operand pool,
+    operands.chpl:5-22); merge re-ships the packed cells of the whole
+    part (`positions_packed_column`)."""
 
     def __init__(self, path: str | list[str], cfg: EngineConfig,
                  row_offsets: list[int] | None = None):
         paths = [path] if isinstance(path, str) else list(path)
-        # a file's own reader: read_table's dataset setup costs about
-        # as much as the read for these small per-part files
-        tables = [pq.ParquetFile(p).read() for p in paths]
-        for p, table in zip(paths, tables):
-            if "positions" in table.column_names and "pos_blob" not in table.column_names:
+        tables = []
+        for p in paths:
+            # a file's own reader: read_table's dataset setup costs about
+            # as much as the read for these small per-part files
+            f = pq.ParquetFile(p)
+            names = f.schema_arrow.names
+            if "positions" in names and "pos_blob" not in names:
                 raise ValueError(
                     f"{p} stores positions as a nested list column, a layout this "
                     "version cannot read; rebuild the index"
                 )
+            # only the served columns: older parts also hold `pos_off`,
+            # and a group fusing one of them with a newer part would
+            # otherwise concatenate two schemas
+            tables.append(f.read(columns=[c for c in ("term", "count") + _FLAT_COLUMNS
+                                          if c in names]))
         row_offsets = [0] * len(paths) if row_offsets is None else list(row_offsets)
         keep = [i for i, t in enumerate(tables) if len(t)] or [0]
         tables, row_offsets = [tables[i] for i in keep], [row_offsets[i] for i in keep]
-        self.block_size = cfg.block_size
         self._max_pos = cfg.max_positions_per_doc
-        has_pos = "pos_blob" in tables[0].column_names
         #: explicit block geometry of fused lists; None for one part
         self._block_first = self._block_base = None
         if len(tables) == 1 and (row_offsets[0] == 0 or len(tables[0]) == 0):
@@ -405,27 +415,11 @@ class PostingsPartReader:
         self._block_max_tf = cols["block_max_tf"]
         self._block_doc_off = cols["block_doc_off"]
         self._block_tf_off = cols["block_tf_off"]
-        #: packed positions: per-term pos_blob + per-block pos_off
-        #: (absent when the index stores no positions)
-        self._pos_blob = cols["pos_blob"] if has_pos else None
-        self._pos_off = cols["pos_off"] if has_pos else None
-        self._pos_decoded: dict[str, "pa.ListArray"] = {}
-        #: per-(term, skip-block) decoded positions: (flat uint32 vals,
-        #: block-local int64 offsets).  The lazy per-block path is hit
-        #: REPEATEDLY by phrase/NEAR verify chunks over hot terms; an
-        #: uncached decode re-paid ~13 ms per term per segment per
-        #: query (the round-4 bench phrase regression)
-        self._pos_blk_cache: dict[str, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
-        #: numpy (offsets int64, flat int64) mirror of _pos_decoded —
-        #: the verify hot path gathers straight from these instead of
-        #: paying an Arrow take + flatten + to_numpy per chunk
-        self._pos_np: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        #: flat-path call counts: a term verified TWICE is hot — from
-        #: the second call on it promotes to the full numpy mirror
-        #: (per-block assembly costs ~0.5 ms/call in Python loops; a
-        #: one-off query on a cold huge term never pays a full decode)
-        self._pos_flat_hits: dict[str, int] = {}
-        self._pos_counts_cache: dict[str, np.ndarray] = {}
+        #: packed positions, one varint-delta blob per term (absent when
+        #: the index stores no positions), and the one cache of decoded
+        #: terms: term -> (int64 list offsets, int64 positions)
+        self._pos_blob = cols.get("pos_blob")
+        self._positions: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def __contains__(self, term: str) -> bool:
         return term in self._terms
@@ -464,250 +458,61 @@ class PostingsPartReader:
             block_base=None if self._block_base is None else _row(self._block_base, i),
         )
 
-    def _pos_counts(self, term: str) -> np.ndarray:
-        """per-posting stored position counts = tf capped at
-        max_positions_per_doc (the tokenize-side truncation); memoized
-        per term (tf decode is cheap next to positions, but the lazy
-        block path may call repeatedly)."""
-        hit = self._pos_counts_cache.get(term)
-        if hit is not None:
-            return hit
-        from chearch_ray.functions.codec import decode_tfs
-
-        tfs = decode_tfs(self.encoded(term))
-        tfs = tfs.astype(np.int64)
-        out = np.minimum(tfs, self._max_pos) if self._max_pos > 0 else tfs
-        if len(self._pos_counts_cache) >= _POS_CACHE_MAX:
-            self._pos_counts_cache.clear()
-        self._pos_counts_cache[term] = out
-        return out
-
-    def positions_arrow(self, term: str):
-        """one term's positions as an Arrow list<uint32> array (one row
-        per posting): ONE vectorized varint decode of the term's blob
-        (cached)."""
-        i = self._terms.get(term)
-        if i is None or self._pos_blob is None:
-            return None
-        hit = self._pos_decoded.get(term)
-        if hit is not None:
-            return hit
-        from chearch_ray.functions.codec import unpack_position_blob
-
-        counts = self._pos_counts(term)
-        flat, offsets = unpack_position_blob(_row(self._pos_blob, i), counts)
-        out = pa.ListArray.from_arrays(
-            pa.array(offsets.astype(np.int32), type=pa.int32()),
-            pa.array(flat.astype(np.uint32), type=pa.uint32()),
-        )
-        if len(self._pos_decoded) >= _POS_CACHE_MAX:
-            self._pos_decoded.clear()
-        self._pos_decoded[term] = out
-        return out
-
-    def positions(self, term: str) -> list | None:
-        arr = self.positions_arrow(term)
-        return None if arr is None else arr.to_pylist()
-
-    def positions_for_rows(self, term: str, rows: np.ndarray):
-        """position lists for the given POSTING ROW indices only,
-        decoding just the skip blocks those rows live in (pos_off per-
-        block byte offsets) — the lazy path for phrase candidates
-        against hot terms.  Returns a list<uint32> ListArray aligned
-        with `rows`, or None when positions are unavailable.  Falls
-        back to the cached full decode when the term is already
-        decoded."""
-        i = self._terms.get(term)
-        if i is None or self._pos_blob is None:
-            return None
-        rows = np.asarray(rows, dtype=np.int64)
-        counts = self._pos_counts(term)
-        n_post = len(counts)
-        full = self._full_positions_if_cheap(term, rows)
-        if full is not None:
-            if len(rows) == n_post and (
-                n_post == 0
-                or (
-                    rows[0] == 0
-                    and rows[-1] == n_post - 1
-                    and bool(np.all(rows[1:] > rows[:-1]))
-                )
-            ):
-                # rows are exactly 0..n_post-1 — skip the multi-MB take
-                # copy (the all-docs candidate set of a hot-term
-                # phrase).  NB callers may pass rows in RANK order, so
-                # equal length alone does not imply identity.
-                return full
-            return full.take(pa.array(rows, type=pa.int64()))
-        l, flat = self._positions_rows_blocks(term, rows, counts)
-        return pa.ListArray.from_arrays(
-            pa.array(np.concatenate([[0], np.cumsum(l)]).astype(np.int32),
-                     type=pa.int32()),
-            pa.array(flat, type=pa.uint32()),
-        )
-
-    def _full_positions_if_cheap(self, term: str, rows: np.ndarray):
-        """the cached full decode when it exists / is cheaper than
-        touching most skip blocks anyway (the gate is on BLOCKS
-        touched, not row count: a few hundred rank-ordered scattered
-        candidates touch most blocks of a hot term, so per-block decode
-        would cost nearly a full decode per call)."""
-        full = self._pos_decoded.get(term)
-        if full is None:
-            enc = self.encoded(term)
-            touched = np.unique(block_of_rows(enc, rows, self.block_size))
-            if len(touched) * 2 >= len(enc.block_last):
-                full = self.positions_arrow(term)
-        return full
-
     def positions_rows_flat(self, term: str, rows: np.ndarray):
-        """(lengths int64, flat positions int64) for the given POSTING
-        ROW indices — the verify hot path.  Same decode strategy as
-        positions_for_rows, but gathers straight from a cached numpy
-        (offsets, values) mirror instead of paying an Arrow take +
-        flatten + to_numpy round-trip per verification chunk (~60% of
-        span-near latency on hot terms).  Returns None when positions
-        are unavailable."""
+        """(lengths int64, flat positions int64) of the given POSTING
+        ROW indices, in `rows` order: the one positions read.  The
+        term's whole pos_blob is decoded once (`unpack_position_blob`,
+        one varint decode; each posting holds tf capped at
+        max_positions_per_doc positions) and kept as (list offsets,
+        positions) in one cache, cleared at _POS_CACHE_MAX terms; each
+        call gathers its rows from that.  None when the term or stored
+        positions are absent."""
         i = self._terms.get(term)
         if i is None or self._pos_blob is None:
             return None
+        hit = self._positions.get(term)
+        if hit is None:
+            counts = decode_tfs(self.encoded(term)).astype(np.int64)
+            if self._max_pos > 0:
+                counts = np.minimum(counts, self._max_pos)
+            flat, offsets = unpack_position_blob(_row(self._pos_blob, i), counts)
+            hit = (offsets, flat.astype(np.int64))
+            if len(self._positions) >= _POS_CACHE_MAX:
+                self._positions.clear()
+            self._positions[term] = hit
+        off, flat = hit
         rows = np.asarray(rows, dtype=np.int64)
-        counts = self._pos_counts(term)
-        seen = self._pos_flat_hits.get(term, 0)
-        if len(self._pos_flat_hits) >= _POS_CACHE_MAX:
-            self._pos_flat_hits.clear()
-        self._pos_flat_hits[term] = seen + 1
-        full = self._full_positions_if_cheap(term, rows)
-        if full is None and seen >= 1:
-            full = self.positions_arrow(term)  # hot-term promotion
-        if full is not None:
-            hit = self._pos_np.get(term)
-            if hit is None:
-                # NB .offsets entries index into .values correctly even
-                # for sliced arrays (raw child offsets)
-                hit = (np.asarray(full.offsets).astype(np.int64),
-                       np.asarray(full.values).astype(np.int64))
-                if len(self._pos_np) >= _POS_CACHE_MAX:
-                    self._pos_np.clear()
-                self._pos_np[term] = hit
-            off, v = hit
-            lo = off[rows]
-            lengths = off[rows + 1] - lo
-            total = int(lengths.sum())
-            idx = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(np.concatenate([[0], np.cumsum(lengths)])[:-1],
-                            lengths)
-                + np.repeat(lo, lengths)
-            )
-            return lengths, v[idx]
-        l, flat = self._positions_rows_blocks(term, rows, counts)
-        return l, flat.astype(np.int64)
-
-    def _positions_rows_blocks(self, term: str, rows: np.ndarray, counts: np.ndarray):
-        """per-skip-block decode path shared by the Arrow and flat
-        variants: (lengths int64, flat uint32) aligned with `rows`."""
-        i = self._terms[term]
-        from chearch_ray.functions.codec import unpack_position_blob
-
-        enc = self.encoded(term)
-        row_blocks = block_of_rows(enc, rows, self.block_size)
-        blocks = np.unique(row_blocks)
-        cache = self._pos_blk_cache.setdefault(term, {})
-        miss = [b for b in blocks.tolist() if b not in cache]
-        if miss:
-            pos_off = _row(self._pos_off, i)
-            blob = _row(self._pos_blob, i)
-            mb = np.array(miss, dtype=np.int64)
-            # delta encoding restarts at every posting, so the missing
-            # blocks' byte slices CONCATENATE into one valid stream —
-            # one vectorized varint decode for all misses (a per-block
-            # decode loop costs ~50us of numpy setup per block)
-            m_lo, m_n = block_span(enc, mb, self.block_size)
-            m_hi = m_lo + m_n
-            byte_lo = pos_off[mb]
-            byte_hi = np.where(mb + 1 < len(pos_off),
-                               pos_off[np.minimum(mb + 1, len(pos_off) - 1)], len(blob))
-            big_blob = np.concatenate(
-                [blob[int(l) : int(h)] for l, h in zip(byte_lo, byte_hi)])
-            cat_counts = np.concatenate(
-                [counts[int(l) : int(h)] for l, h in zip(m_lo, m_hi)])
-            m_vals, m_offs = unpack_position_blob(big_blob, cat_counts)
-            m_base = np.concatenate([[0], np.cumsum(m_hi - m_lo)]).astype(np.int64)
-            for j, b in enumerate(miss):
-                p0, p1 = m_base[j], m_base[j + 1]
-                v0, v1 = int(m_offs[p0]), int(m_offs[p1])
-                cache[b] = (m_vals[v0:v1].astype(np.uint32),
-                            (m_offs[p0 : p1 + 1] - m_offs[p0]).astype(np.int64))
-            # memory bound mirrors the postings block cache policy:
-            # keep only the current term's blocks once the total grows
-            if sum(len(c) for c in self._pos_blk_cache.values()) > (1 << 13):
-                keep = self._pos_blk_cache.pop(term)
-                self._pos_blk_cache.clear()
-                self._pos_blk_cache[term] = keep
-                cache = keep
-        # assemble the concatenated (vals, offs) view over the needed
-        # blocks from cache (block-local offsets re-shifted global)
-        parts = [cache[b] for b in blocks.tolist()]
-        vals = (np.concatenate([p[0] for p in parts])
-                if parts else np.empty(0, dtype=np.uint32))
-        shift = 0
-        offs_parts = []
-        for p in parts:
-            offs_parts.append(p[1][:-1] + shift)
-            shift += int(p[1][-1])
-        offs = (np.concatenate(offs_parts + [np.array([shift], dtype=np.int64)])
-                if parts else np.zeros(1, dtype=np.int64))
-        lo_posts, n_posts = block_span(enc, blocks, self.block_size)
-        # posting index inside the concatenated space, fully vectorized
-        cat_base = np.concatenate([[0], np.cumsum(n_posts)])[:-1]
-        brank = np.searchsorted(blocks, row_blocks)
-        cat_post = cat_base[brank] + (rows - lo_posts[brank])
-        starts_b = offs[cat_post]
-        l = offs[cat_post + 1] - starts_b
-        total = int(l.sum())
-        idx = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(np.concatenate([[0], np.cumsum(l)])[:-1], l)
-            + np.repeat(starts_b, l)
-        )
-        return l.astype(np.int64), vals[idx].astype(np.uint32)
+        lo = off[rows]
+        lengths = off[rows + 1] - lo
+        idx = (np.arange(int(lengths.sum()), dtype=np.int64)
+               + np.repeat(lo - (np.cumsum(lengths) - lengths), lengths))
+        return lengths, flat[idx]
 
     def positions_packed_column(self):
         """per-POSTING packed position cells (binary array, term-major
         file row order) — the merge path re-ships these bytes through
-        the rebuild without re-encoding.  None when positions were not
-        stored."""
+        the rebuild without re-encoding.  One pass over the part: its
+        tf streams and its position blobs each concatenate into one
+        stream, so one tf decode gives every posting's stored count and
+        the varint ends of the one position buffer give every cell's
+        bytes.  None when positions were not stored."""
         if self._pos_blob is None:
             return None
-        parts: list[pa.Array] = []
-        for term in self._terms:
-            i = self._terms[term]
-            blob = _row(self._pos_blob, i)
-            counts = self._pos_counts(term)
-            # per-posting byte boundaries: varint value ends, taken
-            # at each posting's cumulative occurrence count
-            ends = np.flatnonzero(blob < 0x80)
-            cum = np.cumsum(counts)
-            if len(cum) == 0 or cum[-1] == 0:
-                byte_off = np.zeros(len(counts) + 1, dtype=np.int64)
-            else:
-                byte_off = np.concatenate(
-                    [[0], np.where(cum > 0, ends[np.maximum(cum - 1, 0)] + 1, 0)]
-                )
-            # zero-count postings must inherit the previous offset
-            byte_off = np.maximum.accumulate(byte_off)
-            parts.append(
-                pa.Array.from_buffers(
-                    pa.binary(),
-                    len(counts),
-                    [None, pa.py_buffer(byte_off.astype(np.int32).tobytes()),
-                     pa.py_buffer(blob)],
-                )
-            )
-        if not parts:
-            return pa.array([], type=pa.binary())
-        return pa.concat_arrays(parts)
+        # a single-chunk column is a view of the file's buffers: its
+        # rows need not start at byte 0
+        (tf_vals, tf_offs), (pos_vals, pos_offs) = self._tf_blob, self._pos_blob
+        n = int(self._count.sum())
+        counts = varint_decode(tf_vals[tf_offs[0]:tf_offs[-1]], n).astype(np.int64)
+        if self._max_pos > 0:
+            counts = np.minimum(counts, self._max_pos)
+        blob = pos_vals[pos_offs[0]:pos_offs[-1]]
+        # ends[j]: the byte end of the blob's first j varints; a cell
+        # ends where its posting's last position does
+        ends = np.concatenate([[0], np.flatnonzero(blob < 0x80) + 1])
+        byte_off = ends[np.concatenate([[0], np.cumsum(counts)])]
+        return pa.Array.from_buffers(
+            pa.binary(), n,
+            [None, pa.py_buffer(byte_off.astype(np.int32)), pa.py_buffer(blob)])
 
 
 #: bytes one pa.string() array can address (32-bit offsets)

@@ -896,32 +896,6 @@ def test_term_stats_parallel_path_byte_identical(ray_session, tmp_path):
     assert committed.equals(local)
 
 
-def test_positions_lazy_block_decode_matches_full(ray_session, tmp_path):
-    """positions_for_rows (per-skip-block decode via pos_off) returns
-    exactly the rows of the full-term decode without populating the
-    full-decode cache."""
-    import ray.data
-
-    from chearch_ray.sources.corpus import synthetic_corpus
-    from chearch_ray.state.searcher import SegmentSearcher
-
-    cfg = EngineConfig(num_segments=1, num_term_shards=1, block_size=8,
-                       tokenize_batch_size=64)
-    idx = str(tmp_path / "lazy_pos")
-    build_index(ray.data.from_arrow(synthetic_corpus(300, seed=4)), idx, cfg)
-    s = SegmentSearcher(idx, 0, cfg)
-    reader = next(iter(s.shards.values()))
-    term = "def"
-    docs, _ = s.postings(term)
-    assert len(docs) > 40  # several skip blocks at block_size=8
-    rows = np.array([0, 3, 17, len(docs) - 1], dtype=np.int64)
-    lazy = reader.positions_for_rows(term, rows)
-    assert term not in reader._pos_decoded  # no full decode happened
-    full = reader.positions_arrow(term)
-    want = full.take(pa.array(rows, type=pa.int64()))
-    assert lazy.to_pylist() == want.to_pylist()
-
-
 # ------------------------------------------------------- prefix query
 def _prefix_with_hits(oracle, min_terms=2):
     """a 2-char prefix shared by >= min_terms vocabulary terms."""

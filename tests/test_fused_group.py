@@ -42,14 +42,12 @@ def _part_table(lists: dict, block_size: int) -> pa.Table:
         ords, tfs, pos = lists[term]
         enc = encode_postings(ords, tfs, block_size)
         cells = pack_position_lists(pa.array(pos, type=pa.list_(pa.uint32())))
-        offs = np.frombuffer(cells.buffers()[1], dtype=np.int32)[: len(pos) + 1]
         rows.append({
             "term": term, "count": enc.count, "doc_blob": enc.doc_blob, "tf_blob": enc.tf_blob,
             "block_last": enc.block_last.tolist(), "block_max_tf": enc.block_max_tf.tolist(),
             "block_doc_off": enc.block_doc_off.tolist(),
             "block_tf_off": enc.block_tf_off.tolist(),
             "pos_blob": b"".join(cells.to_pylist()),
-            "pos_off": (offs[::block_size][: len(enc.block_last)] - offs[0]).tolist(),
         })
     return pa.Table.from_pylist(rows, schema=POSTINGS_SCHEMA)
 
@@ -134,7 +132,7 @@ def test_fused_lists_equal_shifted_per_segment_lists(case, data):
                 for j in range(len(segs))])
             assert group.probe_tfs(term, rows).tolist() == want_tf.tolist()
             # position reads in rank order, straddling run boundaries,
-            # on the shared reader and on a fresh one (per-block path)
+            # on the shared reader (warm cache) and on a fresh one (cold)
             picks = np.array(data.draw(st.permutations(range(len(docs))))[: max(1, len(docs) // 3)])
             seg_of = np.searchsorted(offsets, docs[picks].astype(np.int64), side="right") - 1
             want_pos = []
@@ -149,8 +147,6 @@ def test_fused_lists_equal_shifted_per_segment_lists(case, data):
                 lengths, flat = reader.positions_rows_flat(term, picks)
                 cut = np.cumsum(lengths)[:-1]
                 assert [x.tolist() for x in np.split(flat, cut)] == want_pos
-            assert PostingsPartReader(paths, cfg, offsets[:-1].tolist()).positions_for_rows(
-                term, picks).to_pylist() == want_pos
 
 
 # ------------------------------------------- tombstones, boolean caps

@@ -8,7 +8,7 @@ wide ids, with and without stored positions, on single- and multi-chunk
 columns.  Also the ordinal format (every posting value is a docmap row),
 the postings/docmap divergence checks at build, commit and query time,
 and the bounds on the searcher's metadata-filter cache and the reader's
-positions hit counts."""
+positions cache."""
 
 import numpy as np
 import pyarrow as pa
@@ -17,7 +17,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from chearch_ray.config import EngineConfig
-from chearch_ray.functions.codec import pack_position_lists, unpack_position_blob
+from chearch_ray.functions.codec import decode_tfs, pack_position_lists, unpack_position_blob
 from chearch_ray.pipelines.build import build_index
 from chearch_ray.sources.corpus import synthetic_corpus
 from chearch_ray.state import searcher as searcher_mod
@@ -73,7 +73,14 @@ def _arrow_positions(table: pa.Table, i: int, counts: np.ndarray) -> pa.ListArra
                                     pa.array(flat.astype(np.uint32)))
 
 
-def _check_reader(reader: PostingsPartReader, table: pa.Table) -> int:
+def _pos_counts(enc, cfg: EngineConfig) -> np.ndarray:
+    """each posting's stored position count: tf capped at
+    max_positions_per_doc"""
+    tfs = decode_tfs(enc).astype(np.int64)
+    return np.minimum(tfs, cfg.max_positions_per_doc) if cfg.max_positions_per_doc > 0 else tfs
+
+
+def _check_reader(reader: PostingsPartReader, table: pa.Table, cfg: EngineConfig) -> int:
     """every per-term answer of `reader` against the Arrow values of
     `table`; returns the number of terms that span several blocks"""
     terms = table["term"].to_pylist()
@@ -94,24 +101,19 @@ def _check_reader(reader: PostingsPartReader, table: pa.Table) -> int:
         assert reader.max_tf(term) == want_max
         multi_block += len(enc.block_last) > 2
         if "pos_blob" not in table.column_names:
-            assert reader.positions_arrow(term) is None
-            assert reader.positions_for_rows(term, np.arange(enc.count)) is None
             assert reader.positions_rows_flat(term, np.arange(enc.count)) is None
             continue
-        counts = reader._pos_counts(term)
-        want = _arrow_positions(table, i, counts)
-        assert reader.positions_arrow(term).equals(want)
+        want = _arrow_positions(table, i, _pos_counts(enc, cfg))
         rng = np.random.default_rng(i)
         picks = [np.arange(enc.count), rng.permutation(enc.count)[: max(enc.count // 3, 1)]]
         for rows in picks:
             want_rows = want.take(pa.array(rows, type=pa.int64()))
-            assert reader.positions_for_rows(term, rows).to_pylist() == want_rows.to_pylist()
             lengths, flat = reader.positions_rows_flat(term, rows)
             assert lengths.tolist() == [len(x) for x in want_rows.to_pylist()]
             assert flat.tolist() == [p for x in want_rows.to_pylist() for p in x]
     if "pos_blob" in table.column_names:
         want_cells = pa.concat_arrays([
-            pack_position_lists(_arrow_positions(table, i, reader._pos_counts(t)))
+            pack_position_lists(_arrow_positions(table, i, _pos_counts(reader.encoded(t), cfg)))
             for i, t in enumerate(terms)])
         assert reader.positions_packed_column().equals(want_cells)
     else:
@@ -126,7 +128,7 @@ def test_reader_matches_arrow_values(indexes, bits, positions):
     for path in _part_paths(indexes[bits, positions]):
         table = pq.read_table(path)
         assert table["doc_blob"].num_chunks == 1
-        multi_block += _check_reader(PostingsPartReader(path, cfg), table)
+        multi_block += _check_reader(PostingsPartReader(path, cfg), table, cfg)
     assert multi_block > 10  # the fixture exercises many skip blocks
 
 
@@ -142,7 +144,7 @@ def test_multi_chunk_part_gives_identical_answers(indexes, bits, positions, tmp_
         chunked = pq.read_table(small)
         assert chunked["doc_blob"].num_chunks > 1
         assert chunked["block_last"].num_chunks > 1
-        _check_reader(PostingsPartReader(small, cfg), table)
+        _check_reader(PostingsPartReader(small, cfg), table, cfg)
 
 
 def test_empty_part_serves_nothing(tmp_path):
@@ -152,7 +154,7 @@ def test_empty_part_serves_nothing(tmp_path):
     pq.write_table(POSTINGS_SCHEMA.empty_table(), path)
     reader = PostingsPartReader(path, _cfg(64, True))
     assert reader.terms == {} and reader.encoded("def") is None
-    assert reader.max_tf("def") == 0 and reader.positions_arrow("def") is None
+    assert reader.max_tf("def") == 0 and reader.positions_rows_flat("def", [0]) is None
     assert len(reader.positions_packed_column()) == 0
 
 
@@ -337,10 +339,10 @@ def test_filter_cache_is_bounded(indexes):
         assert eng.search_parsed(q).equals(t), q
 
 
-# --------------------------------------------- positions hit-count bound
-def test_pos_flat_hits_is_bounded(ray_session, tmp_path):
-    """phrase verification counts hits per term; past the cache limit of
-    distinct terms the counts are cleared like the sibling caches, and
+# ------------------------------------------------ positions cache bound
+def test_positions_cache_is_bounded(ray_session, tmp_path):
+    """phrase verification caches each decoded term; past the cache
+    limit of distinct terms the one positions cache is cleared, and
     answers stay a fresh engine's"""
     import ray.data
 
@@ -357,7 +359,7 @@ def test_pos_flat_hits_is_bounded(ray_session, tmp_path):
     phrases = [[a, b] for a, b in zip(words[::2], words[1::2])]
     got = [eng.search_phrase(p) for p in phrases]
     reader = eng._group.searcher.shards[0]
-    assert 0 < len(reader._pos_flat_hits) <= limit
+    assert 0 < len(reader._positions) <= limit
     fresh = QueryEngine(d, use_actors=False)
     for p, t in zip(phrases[::50], got[::50]):
         assert len(t) == 1

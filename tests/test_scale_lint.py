@@ -393,8 +393,10 @@ def _non_projecting_returns(source: str) -> list[tuple[str, int]]:
     return sites
 
 
-#: the SegmentSearcher methods that read position lists, once each
-POSITION_READERS = ("first_position", "search_span_first", "_window_survivors")
+#: the SegmentSearcher methods that read position lists, once each;
+#: `_posting_positions` is the one-posting read of `positions` and
+#: `first_position`
+POSITION_READERS = ("_posting_positions", "search_span_first", "_window_survivors")
 
 
 def _stray_position_reads(source: str) -> list[tuple[str, int]]:
@@ -467,7 +469,8 @@ def test_positions_are_read_in_one_place():
     routines, each with its own gather, keys and strategy gate: in
     state/searcher.py `positions_rows_flat` is called once by
     `_window_survivors` (the one occurrences gather) and otherwise only
-    by `search_span_first` and `first_position`."""
+    by `search_span_first` and `_posting_positions` (the one-posting
+    read)."""
     source = open(os.path.join(STATE_DIR, "searcher.py")).read()
     assert not _stray_position_reads(source), _stray_position_reads(source)
     assert all(f"def {m}(" in source for m in POSITION_READERS)
@@ -486,3 +489,67 @@ def test_positions_are_read_in_one_place():
     assert _stray_position_reads(probe) == [
         ("_phrase_survivor_rows", 3), ("_near_survivor_rows", 6),
         ("_near_all_survivor_rows", 9), ("_window_survivors", 12)]
+
+
+def _position_decodes(source: str) -> tuple[list[tuple[str, int]], list[str]]:
+    """(stray decodes, reader caches) of a segment.py source: (owner,
+    line) of every `unpack_position_blob` call but one in
+    `PostingsPartReader.positions_rows_flat` (owner: the module-level
+    function, or Class.method, holding the call), and the attributes
+    `PostingsPartReader.__init__` binds to an empty dict."""
+    tree = ast.parse(source)
+    owners = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            owners.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            owners += [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                       if isinstance(fn, ast.FunctionDef)]
+    stray, seen, caches = [], False, []
+    for owner, fn in owners:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and "unpack_position_blob" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                if owner != "PostingsPartReader.positions_rows_flat" or seen:
+                    stray.append((owner, node.lineno))
+                seen |= owner == "PostingsPartReader.positions_rows_flat"
+            if owner == "PostingsPartReader.__init__" and isinstance(
+                    node, (ast.Assign, ast.AnnAssign)):
+                v = node.value
+                empty = (isinstance(v, ast.Dict) and not v.keys) or (
+                    isinstance(v, ast.Call) and getattr(v.func, "id", None) == "dict"
+                    and not v.args and not v.keywords)
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                caches += [t.attr for t in targets if empty and isinstance(t, ast.Attribute)]
+    return stray, caches
+
+
+def test_reader_positions_have_one_decode_route():
+    """PostingsPartReader decodes positions in one place into one cache:
+    in state/segment.py `unpack_position_blob` is called once, by
+    `positions_rows_flat`, and `__init__` creates one cache.  A second
+    route (an Arrow mirror, a per-skip-block decode) would bring back
+    its own cache and its own gate between the routes."""
+    stray, caches = _position_decodes(open(os.path.join(STATE_DIR, "segment.py")).read())
+    assert not stray, f"positions decoded outside positions_rows_flat: {stray}"
+    assert caches == ["_positions"], f"PostingsPartReader caches: {caches}"
+    probe = ("class PostingsPartReader:\n"
+             "    def __init__(self):\n"
+             "        self._terms = dict(zip(a, b))\n"
+             "        self._pos_decoded = {}\n"
+             "        self._pos_np: dict[str, tuple] = {}\n"
+             "        self._pos_blk_cache = dict()\n"
+             "    def positions_arrow(self, term):\n"
+             "        flat, offsets = unpack_position_blob(blob, counts)\n"
+             "    def positions_rows_flat(self, term, rows):\n"
+             "        return codec.unpack_position_blob(blob, counts)\n"
+             "    def _positions_rows_blocks(self, term, rows, counts):\n"
+             "        m_vals, m_offs = unpack_position_blob(big_blob, cat_counts)\n"
+             "        return unpack_position_blob(blob, counts)\n"
+             "def helper():\n"
+             "    return unpack_position_blob(b, c)\n")
+    assert _position_decodes(probe) == (
+        [("PostingsPartReader.positions_arrow", 8),
+         ("PostingsPartReader._positions_rows_blocks", 12),
+         ("PostingsPartReader._positions_rows_blocks", 13), ("helper", 15)],
+        ["_pos_decoded", "_pos_np", "_pos_blk_cache"])

@@ -386,7 +386,7 @@ def test_wide_mode_fuzzy_parity(engines):
 
 def test_wide_mode_near_parity(engines):
     """NEAR and N-term span-near in wide mode: the position verify
-    resolves candidate ordinals through positions_for_rows, which must
+    resolves candidate ordinals through positions_rows_flat, which must
     behave identically when postings hold docmap ordinals."""
     e64, e128 = engines
     n64 = e64.search_near("def", "return", slop=4, k=10)
