@@ -87,9 +87,10 @@ class Wildcard:
     pure-suffix (`*b`) tokens keep their dedicated leaves; this node
     covers the both-sides-anchored middle case.  QueryEngine expands
     it BEFORE planning via the MORE SELECTIVE anchor's sorted
-    dictionary (forward stats parquet for `head`, reversed-term
-    sidecar for `tail` when built) with a post-filter on the other
-    side — segment searchers only ever see Term/And/Or."""
+    dictionary (the resident sorted vocabulary for `head`, the
+    reversed-term sidecar for `tail` when built) with a post-filter
+    on the other side — segment searchers only ever see
+    Term/And/Or."""
 
     head: str
     tail: str
@@ -122,10 +123,10 @@ class Regexp:
     on which Python `re` and DuckDB's RE2 agree exactly, so oracles
     mirror the expansion with `regexp_full_match(term, pattern)`.
     QueryEngine expands it into a sorted Or chain over the matching
-    terms BEFORE planning — via expand_prefix's stats-parquet range
-    predicate when the pattern has a literal prefix (the web-scale
-    path), else a vocabulary scan — so segment searchers only ever
-    see Term/And/Or."""
+    terms BEFORE planning — via expand_prefix's bisect of the
+    resident sorted vocabulary when the pattern has a literal prefix,
+    else a vocabulary scan — so segment searchers only ever see
+    Term/And/Or."""
 
     pattern: str
 

@@ -196,7 +196,7 @@ def q_bm25_not(sf_dir: str) -> pa.Table:
 
 
 #: prefix (wildcard) query — engine extension (§2.10): `s*` expands
-#: against the term-sorted stats parquet (range-predicate scan) into
+#: against the engine's resident sorted vocabulary (one bisect) into
 #: an Or chain before planning; AND'd with a plain term it exercises
 #: both the expansion and the conjunction path end-to-end through the
 #: string parser (`parse_query` -> Prefix leaf -> QueryEngine._plan).
@@ -263,8 +263,8 @@ def q_suffix_wildcard_bm25(sf_dir: str) -> pa.Table:
 #: vocabulary by Python-re fullmatch over the RE2-agreeing syntax
 #: subset (at sf scale: {sort, stream} — a disjunction reached purely
 #: through the regexp machinery), routed through expand_prefix's
-#: stats-parquet range predicate on the extracted literal prefix
-#: ('s'), so the driver checks the row-group-pushdown scale path.
+#: bisect on the extracted literal prefix ('s'), so the driver checks
+#: the literal-prefix route, not only the full vocabulary scan.
 #: The oracle mirrors the expansion with `regexp_full_match(term,
 #: pattern)` over the same tokenization — no term list is hardcoded
 #: on either side, and the subset restriction

@@ -17,6 +17,7 @@ document count" the reference lists as TODO (docs/TODO.txt:9-10).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import os
 import re
@@ -41,6 +42,9 @@ from chearch_ray.state.segment import Manifest
 #: the driver-side list a 1-char anchor could pull from a huge
 #: vocabulary; distinct from (and never below) the final-expansion cap
 WILDCARD_CANDIDATE_CAP = 1 << 20
+
+#: entries the expansion memo holds before it is cleared
+EXPANSION_MEMO_ENTRIES = 1024
 
 #: the plan of a provably-empty query: tokenizer output never contains
 #: NUL, so every segment evaluates it to the empty set
@@ -221,7 +225,6 @@ class QueryEngine:
         index_dir: str,
         use_actors: bool = True,
         num_cpus_per_actor: float = 0.25,
-        stats_mode: str = "eager",
         max_actors: int | None = None,
     ):
         if max_actors is not None:
@@ -236,29 +239,20 @@ class QueryEngine:
         self.manifest = Manifest.load(index_dir)
         self.cfg = self.manifest.engine_config
         self._stats_path = os.path.join(index_dir, self.manifest.term_stats_path)
-        self.stats_mode = stats_mode
-        if stats_mode == "eager":
-            # vocabulary-sized dict (sandbox scale)
-            stats = pq.read_table(self._stats_path, columns=["term", "df"])
-            self._df = dict(zip(stats["term"].to_pylist(), stats["df"].to_pylist()))
-        elif stats_mode == "lazy":
-            # scale path (10^12-doc vocab): the stats table is
-            # term-sorted parquet; read only the query's own terms via
-            # a predicate (row-group pushdown), memoized per engine
-            self._df = {}
-        else:
-            raise ValueError(f"unknown stats_mode {stats_mode!r}")
+        # the vocabulary stays resident, as the reference keeps its term
+        # table (memorysegment.chpl:5): this one read serves df() and
+        # every expansion.  The file is written term-sorted and UTF-8
+        # byte order is str order, so the term column is sorted
+        stats = pq.read_table(self._stats_path, columns=["term", "df"])
+        self._vocab: list[str] = stats["term"].to_pylist()
+        self._df = dict(zip(self._vocab, stats["df"].to_pylist()))
         self.n_docs = self.manifest.num_docs
         self.avgdl = float(self.manifest.avgdl)
         self.segments = sorted({p["part"] // self.cfg.num_term_shards for p in self.manifest.postings_parts})
         if not self.segments:
             self.segments = list(range(self.cfg.num_segments))
         self.use_actors = use_actors
-        self._prefix_cache: dict[str, list[str]] = {}
-        self._suffix_cache: dict[str, list[str]] = {}
-        self._wildcard_cache: dict[tuple[str, str], list[str]] = {}
-        self._fuzzy_cache: dict[tuple[str, int], list[str]] = {}
-        self._regexp_cache: dict[str, list[str]] = {}
+        self._expansions: dict[tuple, list[str]] = {}
         if use_actors:
             import ray
 
@@ -345,13 +339,6 @@ class QueryEngine:
 
     # ------------------------------------------------------------ stats
     def df(self, term: str) -> int:
-        if self.stats_mode == "lazy" and term not in self._df:
-            import pyarrow.dataset as pads
-
-            t = pads.dataset(self._stats_path, format="parquet").to_table(
-                columns=["term", "df"], filter=pads.field("term") == term
-            )
-            self._df[term] = int(t["df"][0].as_py()) if len(t) else 0
         return int(self._df.get(term, 0))
 
     def idfs_for(self, node: ast.Node,
@@ -365,44 +352,62 @@ class QueryEngine:
             idfs = {t: v * float(boosts.get(t, 1.0)) for t, v in idfs.items()}
         return idfs
 
-    # ------------------------------------------------------------ prefix
+    # -------------------------------------------------------- expansion
+    def _expand(self, key: tuple, label: str, max_expansions: int,
+                compute) -> list[str]:
+        """The one expansion memo: the sorted terms `compute()` returns
+        for `key` (kind first), computed once per engine.  Raises when
+        the expansion exceeds `max_expansions`, on a miss before
+        caching (a rejected expansion must not pin a huge list) and
+        again on a hit: silently truncating would change result sets,
+        and an over-broad leaf should be an explicit caller decision
+        (raise the cap)."""
+        hit = self._expansions.get(key)
+        if hit is None:
+            hit = compute()
+            if len(hit) <= max_expansions:
+                if len(self._expansions) >= EXPANSION_MEMO_ENTRIES:
+                    self._expansions.clear()
+                self._expansions[key] = hit
+        if len(hit) > max_expansions:
+            raise ValueError(
+                f"{label} expands to {len(hit)} terms (cap {max_expansions})")
+        return hit
+
+    def _within_distance(self, term: str,
+                         max_distance: int) -> tuple[list[str], np.ndarray]:
+        """(terms, dists): the vocabulary terms within `max_distance`
+        unit-cost Levenshtein edits of `term`, sorted, and their int64
+        distances — a length prefilter (|len - len(term)| <=
+        max_distance), then the candidate-vectorized DP."""
+        from chearch_ray.functions.editdist import levenshtein_to
+
+        vocab = self._vocab
+        lens = np.fromiter((len(t) for t in vocab), dtype=np.int64, count=len(vocab))
+        cands = [vocab[i] for i in np.flatnonzero(np.abs(lens - len(term)) <= max_distance)]
+        if not cands:
+            return [], np.zeros(0, dtype=np.int64)
+        dist = levenshtein_to(term, cands).astype(np.int64)
+        keep = np.flatnonzero(dist <= max_distance)
+        return [cands[i] for i in keep], dist[keep]
+
     def expand_prefix(self, prefix: str, max_expansions: int = 1024) -> list[str]:
-        """Vocabulary terms starting with `prefix`, sorted, from the
-        term-SORTED stats parquet via a range predicate (row-group
-        pushdown — the scan touches only the prefix's row groups even
-        at a 10^12-doc vocabulary; memoized per engine).  Raises when
-        the expansion exceeds `max_expansions`: silently truncating
-        would change result sets, and an over-broad prefix should be
-        an explicit caller decision (raise the cap)."""
+        """Vocabulary terms starting with `prefix`, sorted: one bisect
+        into the resident sorted vocabulary for each end of the run
+        (truncating terms to len(prefix) keeps them sorted).  Memoized;
+        raises above `max_expansions` (see _expand)."""
         if not prefix:
             raise ValueError("empty prefix")
-        hit = self._prefix_cache.get(prefix)
-        if hit is not None:
-            if len(hit) > max_expansions:
-                raise ValueError(
-                    f"prefix {prefix!r} expands to {len(hit)} terms (cap {max_expansions})"
-                )
-            return hit
-        import pyarrow.dataset as pads
 
-        # [prefix, prefix+1) bounds the sorted scan; the startswith
-        # post-filter is belt and braces for non-ascii tails
-        upper = prefix[:-1] + chr(ord(prefix[-1]) + 1)
-        t = pads.dataset(self._stats_path, format="parquet").to_table(
-            columns=["term"],
-            filter=(pads.field("term") >= prefix) & (pads.field("term") < upper),
-        )
-        terms = sorted(s for s in t["term"].to_pylist() if s.startswith(prefix))
-        if len(terms) > max_expansions:
-            raise ValueError(
-                f"prefix {prefix!r} expands to {len(terms)} terms (cap {max_expansions})"
-            )
-        if len(self._prefix_cache) > 1024:
-            self._prefix_cache.clear()
-        self._prefix_cache[prefix] = terms
-        return terms
+        def compute():
+            lo = bisect.bisect_left(self._vocab, prefix)
+            hi = bisect.bisect_right(self._vocab, prefix, lo=lo,
+                                     key=lambda t: t[:len(prefix)])
+            return self._vocab[lo:hi]
 
-    # ------------------------------------------------------------ suffix
+        return self._expand(("prefix", prefix), f"prefix {prefix!r}",
+                            max_expansions, compute)
+
     def expand_suffix(self, suffix: str, max_expansions: int = 1024) -> list[str]:
         """Vocabulary terms ENDING with `suffix` (the `*ing`
         leading-wildcard leaf), sorted.  When the reversed-term
@@ -410,41 +415,24 @@ class QueryEngine:
         build_suffix_dictionary), the lookup is a range predicate over
         the rterm-SORTED parquet (row-group pushdown: only the
         suffix's groups are read even at a 10^12-doc vocabulary);
-        otherwise a vocabulary scan of the stats parquet — identical
-        results either way (pinned by test).  Memoized per engine;
-        raises above `max_expansions` like expand_prefix (silent
-        truncation would change result sets)."""
+        otherwise a scan of the resident vocabulary — identical
+        results either way (pinned by test).  Memoized; raises above
+        `max_expansions` like expand_prefix."""
         if not suffix:
             raise ValueError("empty suffix")
-        hit = self._suffix_cache.get(suffix)
-        if hit is None:
+
+        def compute():
             from chearch_ray.state.suffixdict import (
                 suffix_dictionary_exists, terms_with_suffix,
             )
 
             sdir = os.path.join(self.index_dir, "suffix")
             if suffix_dictionary_exists(sdir):
-                hit = terms_with_suffix(sdir, suffix)
-            else:
-                stats = pq.read_table(self._stats_path, columns=["term"])
-                hit = sorted(
-                    s for s in stats["term"].to_pylist() if s.endswith(suffix)
-                )
-            # cap BEFORE caching (expand_prefix's discipline): a
-            # rejected expansion must not pin a huge list in memory
-            if len(hit) > max_expansions:
-                raise ValueError(
-                    f"suffix *{suffix} expands to {len(hit)} terms "
-                    f"(cap {max_expansions})"
-                )
-            if len(self._suffix_cache) > 1024:
-                self._suffix_cache.clear()
-            self._suffix_cache[suffix] = hit
-        if len(hit) > max_expansions:
-            raise ValueError(
-                f"suffix *{suffix} expands to {len(hit)} terms (cap {max_expansions})"
-            )
-        return hit
+                return terms_with_suffix(sdir, suffix)
+            return [t for t in self._vocab if t.endswith(suffix)]
+
+        return self._expand(("suffix", suffix), f"suffix *{suffix}",
+                            max_expansions, compute)
 
     def expand_wildcard(self, head: str, tail: str,
                         max_expansions: int = 1024) -> list[str]:
@@ -452,16 +440,15 @@ class QueryEngine:
         `head*tail` (startswith(head) AND endswith(tail),
         non-overlapping halves), sorted.  Expansion routes through the
         MORE SELECTIVE anchor's sorted dictionary — the longer literal
-        wins: `head` via expand_prefix's stats-parquet range predicate,
-        `tail` via the reversed-term sidecar when built — then
-        post-filters the other side; ties and a missing suffix
-        sidecar prefer the prefix side (always available).
-        Memoized; raises above `max_expansions` like expand_prefix."""
+        wins: `head` via expand_prefix's bisect, `tail` via the
+        reversed-term sidecar when built — then post-filters the other
+        side; ties and a missing suffix sidecar prefer the prefix side
+        (always available).  Memoized; raises above `max_expansions`
+        like expand_prefix."""
         if not head or not tail:
             raise ValueError("infix wildcard needs text on both sides of '*'")
-        key = (head, tail)
-        hit = self._wildcard_cache.get(key)
-        if hit is None:
+
+        def compute():
             from chearch_ray.state.suffixdict import suffix_dictionary_exists
 
             # the anchor-side gather is the scale risk (a 1-char anchor
@@ -480,24 +467,12 @@ class QueryEngine:
                     f"wildcard {head}*{tail}: anchor too unselective "
                     f"({exc})") from None
             min_len = len(head) + len(tail)
-            hit = [t for t in cands
-                   if len(t) >= min_len and t.startswith(head)
-                   and t.endswith(tail)]
-            # cap BEFORE caching (expand_prefix's discipline)
-            if len(hit) > max_expansions:
-                raise ValueError(
-                    f"wildcard {head}*{tail} expands to {len(hit)} terms "
-                    f"(cap {max_expansions})"
-                )
-            if len(self._wildcard_cache) > 1024:
-                self._wildcard_cache.clear()
-            self._wildcard_cache[key] = hit
-        if len(hit) > max_expansions:
-            raise ValueError(
-                f"wildcard {head}*{tail} expands to {len(hit)} terms "
-                f"(cap {max_expansions})"
-            )
-        return hit
+            return [t for t in cands
+                    if len(t) >= min_len and t.startswith(head)
+                    and t.endswith(tail)]
+
+        return self._expand(("wildcard", head, tail), f"wildcard {head}*{tail}",
+                            max_expansions, compute)
 
     def build_suffix_dictionary(self) -> str:
         """Build (or rebuild) the reversed-term dictionary sidecar at
@@ -518,53 +493,31 @@ class QueryEngine:
         driver oracle mirrors it exactly).  When a SymSpell deletion
         index built for >= max_distance exists, candidates come from
         exact variant-key lookups over only the probed hash-prefix
-        partitions (the 10^12-doc path); otherwise a length-prefiltered
+        partitions (the 10^12-doc path); otherwise _within_distance's
         vocabulary scan.  Either way the final set is verified with the
-        exact vectorized DP, so results are identical.  Raises above
-        `max_expansions` like expand_prefix (silent truncation would
-        change result sets)."""
+        exact vectorized DP, so results are identical.  Memoized;
+        raises above `max_expansions` like expand_prefix."""
         if not term:
             raise ValueError("empty fuzzy term")
-        from chearch_ray.functions.editdist import levenshtein_to
-        from chearch_ray.state.suggest import (
-            candidate_terms, suggest_index_distance,
-        )
 
-        cache_key = (term, max_distance)
-        hit = self._fuzzy_cache.get(cache_key)
-        if hit is None:
+        def compute():
+            from chearch_ray.functions.editdist import levenshtein_to
+            from chearch_ray.state.suggest import (
+                candidate_terms, suggest_index_distance,
+            )
+
             sdir = os.path.join(self.index_dir, "suggest")
             built = suggest_index_distance(sdir)
-            if built is not None and built >= max_distance:
-                cands = candidate_terms(sdir, term, max_distance)
-            else:
-                stats = pq.read_table(self._stats_path, columns=["term"])
-                all_terms = stats["term"].to_pylist()
-                lens = np.fromiter(
-                    (len(t) for t in all_terms), dtype=np.int64, count=len(all_terms)
-                )
-                keep = np.flatnonzero(np.abs(lens - len(term)) <= max_distance)
-                cands = [all_terms[i] for i in keep]
-            if cands:
-                dist = levenshtein_to(term, cands)
-                hit = sorted(c for c, d in zip(cands, dist) if d <= max_distance)
-            else:
-                hit = []
-            # cap BEFORE caching (expand_prefix's discipline)
-            if len(hit) > max_expansions:
-                raise ValueError(
-                    f"fuzzy {term!r}~{max_distance} expands to {len(hit)} terms "
-                    f"(cap {max_expansions})"
-                )
-            if len(self._fuzzy_cache) > 1024:
-                self._fuzzy_cache.clear()
-            self._fuzzy_cache[cache_key] = hit
-        if len(hit) > max_expansions:
-            raise ValueError(
-                f"fuzzy {term!r}~{max_distance} expands to {len(hit)} terms "
-                f"(cap {max_expansions})"
-            )
-        return hit
+            if built is None or built < max_distance:
+                return self._within_distance(term, max_distance)[0]
+            cands = candidate_terms(sdir, term, max_distance)
+            if not cands:
+                return []
+            dist = levenshtein_to(term, cands)
+            return sorted(c for c, d in zip(cands, dist) if d <= max_distance)
+
+        return self._expand(("fuzzy", term, max_distance),
+                            f"fuzzy {term!r}~{max_distance}", max_expansions, compute)
 
     # ------------------------------------------------------------ regexp
     def expand_regexp(self, pattern: str,
@@ -577,20 +530,19 @@ class QueryEngine:
         validate_regexp), so a DuckDB oracle using
         `regexp_full_match(term, pattern)` mirrors the expansion
         exactly.  When the pattern starts with a literal run (e.g.
-        `so(rt|urce)` -> "so"), candidates come from expand_prefix's
-        stats-parquet range predicate — only the prefix's row groups
-        are read even at a 10^12-doc vocabulary; a pattern with no
-        usable literal prefix pays a vocabulary scan, the same
-        leading-wildcard reality Lucene documents.  Memoized; raises
-        above `max_expansions` like expand_prefix (silent truncation
-        would change result sets)."""
+        `so(rt|urce)` -> "so"), candidates come from expand_prefix;
+        a pattern with no usable literal prefix scans the whole
+        vocabulary, the same leading-wildcard reality Lucene
+        documents.  Memoized; raises above `max_expansions` like
+        expand_prefix."""
         from chearch_ray.functions.queryparse import validate_regexp
 
         validate_regexp(pattern)
-        hit = self._regexp_cache.get(pattern)
-        if hit is None:
+
+        def compute():
             rx = re.compile(pattern)
             lit = _regexp_literal_prefix(pattern)
+            cands = self._vocab
             if lit:
                 # anchor-side gather bound, expand_wildcard's discipline
                 cand_cap = max(max_expansions, WILDCARD_CANDIDATE_CAP)
@@ -600,25 +552,10 @@ class QueryEngine:
                     raise ValueError(
                         f"regexp /{pattern}/: literal prefix too "
                         f"unselective ({exc})") from None
-            else:
-                stats = pq.read_table(self._stats_path, columns=["term"])
-                cands = stats["term"].to_pylist()
-            hit = sorted(t for t in cands if rx.fullmatch(t))
-            # cap BEFORE caching (expand_prefix's discipline)
-            if len(hit) > max_expansions:
-                raise ValueError(
-                    f"regexp /{pattern}/ expands to {len(hit)} terms "
-                    f"(cap {max_expansions})"
-                )
-            if len(self._regexp_cache) > 1024:
-                self._regexp_cache.clear()
-            self._regexp_cache[pattern] = hit
-        if len(hit) > max_expansions:
-            raise ValueError(
-                f"regexp /{pattern}/ expands to {len(hit)} terms "
-                f"(cap {max_expansions})"
-            )
-        return hit
+            return [t for t in cands if rx.fullmatch(t)]
+
+        return self._expand(("regexp", pattern), f"regexp /{pattern}/",
+                            max_expansions, compute)
 
     def _plan(self, node: ast.Node) -> ast.Node:
         """Prefix-free plan for the segment searchers.  A tree that
@@ -1170,7 +1107,6 @@ class QueryEngine:
         variant-key lookups over only the probed hash-prefix
         partitions instead of a full vocabulary scan — the 10^12-doc
         path; identical results either way."""
-        from chearch_ray.functions.editdist import levenshtein_to
         from chearch_ray.state.suggest import (
             suggest_from_index, suggest_index_distance,
         )
@@ -1181,31 +1117,14 @@ class QueryEngine:
             return suggest_from_index(
                 sdir, self._stats_path, term, max_distance, k
             )
-
-        stats = pq.read_table(self._stats_path, columns=["term", "df"])
-        terms = stats["term"].to_pylist()
-        dfs = stats["df"].to_numpy().astype(np.int64)
-        lens = np.fromiter((len(t) for t in terms), dtype=np.int64, count=len(terms))
-        cand = np.flatnonzero(np.abs(lens - len(term)) <= max_distance)
-        if len(cand) == 0:
-            return pa.table(
-                {
-                    "suggestion": pa.array([], type=pa.string()),
-                    "dist": pa.array([], type=pa.int64()),
-                    "df": pa.array([], type=pa.int64()),
-                }
-            )
-        cand_terms = [terms[i] for i in cand]
-        dist = levenshtein_to(term, cand_terms).astype(np.int64)
-        ok = dist <= max_distance
-        ct = np.array(cand_terms, dtype=object)[ok]
-        dist, cdf = dist[ok], dfs[cand][ok]
-        order = sorted(range(len(ct)), key=lambda i: (dist[i], -cdf[i], ct[i]))[:k]
+        terms, dist = self._within_distance(term, max_distance)
+        dfs = [self._df[t] for t in terms]
+        order = sorted(range(len(terms)), key=lambda i: (dist[i], -dfs[i], terms[i]))[:k]
         return pa.table(
             {
-                "suggestion": pa.array([str(ct[i]) for i in order], type=pa.string()),
+                "suggestion": pa.array([terms[i] for i in order], type=pa.string()),
                 "dist": pa.array([int(dist[i]) for i in order], type=pa.int64()),
-                "df": pa.array([int(cdf[i]) for i in order], type=pa.int64()),
+                "df": pa.array([dfs[i] for i in order], type=pa.int64()),
             }
         )
 
@@ -1289,6 +1208,10 @@ class QueryEngine:
         cover the boolean result window (per-segment partition_limit
         cap, the reference's result-window semantics)."""
         t = self.search_boolean(query, default_op)
+        if column not in t.column_names:
+            raise ValueError(
+                f"facet column must be a result column {t.column_names}, "
+                f"not {column!r}")
         agg = t.group_by(column, use_threads=False).aggregate([(column, "count")])
         agg = pa.table(
             {column: agg[column], "n": agg[f"{column}_count"].cast(pa.int64())}

@@ -1,12 +1,13 @@
 """Reversed-term dictionary — the leading-wildcard (`*ing`) scale path.
 
-The term-SORTED stats parquet makes trailing wildcards (`mer*`) a range
-predicate (engine.expand_prefix); a LEADING wildcard has no such order
-to exploit, and a 10^12-doc vocabulary scan per query is not a serving
-path.  The classic fix (Lucene's ReversedWildcardFilter) is a second
-dictionary sorted by the REVERSED term: `*ing` becomes the prefix range
-[`gni`, `gnj`) over `rterm`, so parquet row-group statistics prune the
-read to the suffix's own row groups no matter how large the vocabulary.
+The engine's resident sorted vocabulary makes trailing wildcards
+(`mer*`) one bisect (engine.expand_prefix); a LEADING wildcard has no
+such order to exploit, and a 10^12-doc vocabulary scan per query is
+not a serving path.  The classic fix (Lucene's
+ReversedWildcardFilter) is a second dictionary sorted by the REVERSED
+term: `*ing` becomes the prefix range [`gni`, `gnj`) over `rterm`, so
+parquet row-group statistics prune the read to the suffix's own row
+groups no matter how large the vocabulary.
 
 Build is vocabulary-sized (a Ray Data read → utf8_reverse → one
 vocab-scale sort → parquet), the same weight class as the SymSpell
@@ -21,9 +22,10 @@ Lifecycle: every vocabulary-changing operation (merge, compact,
 upsert, streaming roll) produces a NEW index directory — the swap
 drops this sidecar rather than carrying it, so it can never go stale.
 Until an operator rebuilds it (CLI `suffix-dict`), expansions fall
-back to the stats-parquet vocabulary scan: identical results, just
-without the row-group pruning.  In-place deletes only tombstone docs
-(the term dictionary is untouched), so the sidecar stays valid.
+back to a scan of the engine's resident vocabulary: identical
+results, just without the row-group pruning.  In-place deletes only
+tombstone docs (the term dictionary is untouched), so the sidecar
+stays valid.
 """
 
 from __future__ import annotations
@@ -99,8 +101,7 @@ def terms_with_suffix(out_dir: str, suffix: str) -> list[str]:
     """Sorted vocabulary terms ending with `suffix`, via the reversed
     prefix range [rev, rev+1) over the rterm-sorted files — parquet
     row-group pushdown reads only the straddling groups.  The
-    endswith post-filter is belt and braces for non-ascii tails
-    (mirrors expand_prefix's startswith)."""
+    endswith post-filter is belt and braces for non-ascii tails."""
     import pyarrow.dataset as pads
 
     rev = suffix[::-1]

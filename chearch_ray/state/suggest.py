@@ -171,7 +171,7 @@ def suggest_from_index(
 
     Candidates come from the deletion index; their dfs come from a
     term-predicate read of the term-sorted stats parquet (row-group
-    pushdown — the same lazy-stats shape QueryEngine uses); the final
+    pushdown reads only the candidates' groups); the final
     distances are EXACT (vectorized DP), so false candidates drop out."""
     from chearch_ray.functions.editdist import levenshtein_to
 

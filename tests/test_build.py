@@ -65,6 +65,7 @@ def test_manifest_stats(engine, oracle):
     assert engine.avgdl == oracle.avgdl
     for t in _hot_terms(oracle) + _rare_terms(oracle):
         assert engine.df(t) == oracle.df(t), t
+    assert engine.df("__never_present__") == 0
 
 
 def test_known_df_sentinels(engine, oracle):
@@ -931,11 +932,20 @@ def test_expand_prefix_matches_vocabulary(engine, oracle):
     want = sorted(t for t in oracle.postings if t.startswith(pref))
     assert engine.expand_prefix(pref) == want
     # memoized second call
-    assert engine.expand_prefix(pref) is engine._prefix_cache[pref]
+    assert engine.expand_prefix(pref) is engine._expansions[("prefix", pref)]
     with pytest.raises(ValueError):
         engine.expand_prefix(pref, max_expansions=max(0, len(want) - 1))
     with pytest.raises(ValueError):
         engine.expand_prefix("")
+    # no string bounds these prefixes from above (U+D7FF + 1 is a
+    # surrogate, U+10FFFF is the last code point): both expand to
+    # nothing, and the query is a typed empty table
+    typed = engine.search_parsed(pref + "*").schema
+    for p in ("a\ud7ff", "de\U0010ffff"):
+        assert engine.expand_prefix(p) == [], p
+        assert not any(t.startswith(p) for t in oracle.postings)
+        got = engine.search_parsed(p + "*")
+        assert len(got) == 0 and got.schema == typed, p
 
 
 def test_prefix_search_equals_explicit_or(engine, oracle):
@@ -1207,12 +1217,12 @@ def test_fuzzy_index_path_matches_scan(engine):
     scan = {(q, d): engine.expand_fuzzy(q, d) for q in queries for d in (1, 2)}
     sdir = engine.build_suggest_index(max_distance=2)
     try:
-        engine._fuzzy_cache.clear()
+        engine._expansions.clear()
         for (q, d), want in scan.items():
             assert engine.expand_fuzzy(q, d) == want, (q, d)
     finally:
         shutil.rmtree(sdir)
-        engine._fuzzy_cache.clear()
+        engine._expansions.clear()
 
 
 def test_fuzzy_expansion_cap_raises(engine):

@@ -389,7 +389,7 @@ def test_suffix_expansion_dict_matches_scan(eng):
     vocab = pq.read_table(eng._stats_path, columns=["term"])["term"].to_pylist()
     for suf in ("urn", "s", "e"):
         want = sorted(t for t in vocab if t.endswith(suf))
-        eng._suffix_cache.clear()
+        eng._expansions.clear()
         assert eng.expand_suffix(suf, max_expansions=10**6) == want
     eng.build_suffix_dictionary()
     from chearch_ray.state.suffixdict import suffix_dictionary_exists
@@ -397,7 +397,7 @@ def test_suffix_expansion_dict_matches_scan(eng):
     assert suffix_dictionary_exists(f"{eng.index_dir}/suffix")
     for suf in ("urn", "s", "e", "zzzz_nope"):
         want = sorted(t for t in vocab if t.endswith(suf))
-        eng._suffix_cache.clear()
+        eng._expansions.clear()
         assert eng.expand_suffix(suf, max_expansions=10**6) == want
 
 
@@ -444,7 +444,7 @@ def test_cli_suffix_dict_builds_sidecar(eng):
     import pyarrow.parquet as pq
 
     vocab = pq.read_table(eng._stats_path, columns=["term"])["term"].to_pylist()
-    eng._suffix_cache.clear()
+    eng._expansions.clear()
     assert eng.expand_suffix("urn") == sorted(
         t for t in vocab if t.endswith("urn"))
 
@@ -465,7 +465,7 @@ def test_wildcard_expansion_both_routes(eng):
     eng.build_suffix_dictionary()
     for h, t in (("re", "rn"), ("d", "f"), ("c", "ss"), ("re", "n"),
                  ("zz", "qq")):
-        eng._wildcard_cache.clear()
+        eng._expansions.clear()
         assert eng.expand_wildcard(h, t, max_expansions=10**6) == brute(h, t)
     # non-overlap: head+tail longer than the term never matches
     assert all(len(x) >= 4 for x in eng.expand_wildcard("de", "ef",
@@ -534,7 +534,7 @@ def test_torn_sidecar_meta_falls_back_to_scan(eng):
         fh.write(b"PAR1\x00torn")
     try:
         assert not suffix_dictionary_exists(sdir)
-        eng._suffix_cache.clear()
+        eng._expansions.clear()
         got = eng.expand_suffix("urn")  # scan fallback, no raise
         import pyarrow.parquet as pq
 
@@ -545,22 +545,26 @@ def test_torn_sidecar_meta_falls_back_to_scan(eng):
 
 
 def test_rejected_expansion_not_cached(eng):
-    eng._suffix_cache.clear()
+    eng._expansions.clear()
     with pytest.raises(ValueError, match="cap"):
         eng.expand_suffix("e", max_expansions=1)
-    assert "e" not in eng._suffix_cache
-    eng._wildcard_cache.clear()
+    assert ("suffix", "e") not in eng._expansions
+    eng._expansions.clear()
     with pytest.raises(ValueError, match="cap"):
         eng.expand_wildcard("d", "f", max_expansions=0)
-    assert ("d", "f") not in eng._wildcard_cache
-    eng._fuzzy_cache.clear()
+    assert ("wildcard", "d", "f") not in eng._expansions
+    eng._expansions.clear()
     with pytest.raises(ValueError, match="cap"):
         eng.expand_fuzzy("return", 2, max_expansions=0)
-    assert ("return", 2) not in eng._fuzzy_cache
-    eng._regexp_cache.clear()
+    assert ("fuzzy", "return", 2) not in eng._expansions
+    eng._expansions.clear()
     with pytest.raises(ValueError, match="cap"):
         eng.expand_regexp("ret[a-z]*", max_expansions=0)
-    assert "ret[a-z]*" not in eng._regexp_cache
+    assert ("regexp", "ret[a-z]*") not in eng._expansions
+    eng._expansions.clear()
+    with pytest.raises(ValueError, match="cap"):
+        eng.expand_prefix("re", max_expansions=0)
+    assert ("prefix", "re") not in eng._expansions
 
 
 def test_cli_explain_flag(eng):
@@ -1146,6 +1150,14 @@ def test_facet_stats_zero_match_typed_schema(eng):
 def test_facet_stats_unknown_by_raises(eng):
     with pytest.raises(ValueError, match="docmap column"):
         eng.facet_stats("def", by="no_such_column")
+
+
+def test_facet_counts_unknown_column_raises(eng):
+    """one line naming the result's columns, not Arrow's schema dump"""
+    with pytest.raises(ValueError, match="result column") as exc:
+        eng.facet_counts("def", column="no_such_column")
+    msg = str(exc.value)
+    assert "\n" not in msg and "'lang'" in msg and "no_such_column" in msg
 
 
 def test_cli_msm_rejects_boolean_operators(eng):

@@ -513,15 +513,24 @@ def _position_decodes(source: str) -> tuple[list[tuple[str, int]], list[str]]:
                 if owner != "PostingsPartReader.positions_rows_flat" or seen:
                     stray.append((owner, node.lineno))
                 seen |= owner == "PostingsPartReader.positions_rows_flat"
-            if owner == "PostingsPartReader.__init__" and isinstance(
-                    node, (ast.Assign, ast.AnnAssign)):
-                v = node.value
-                empty = (isinstance(v, ast.Dict) and not v.keys) or (
-                    isinstance(v, ast.Call) and getattr(v.func, "id", None) == "dict"
-                    and not v.args and not v.keywords)
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                caches += [t.attr for t in targets if empty and isinstance(t, ast.Attribute)]
+        if owner == "PostingsPartReader.__init__":
+            caches = _empty_dict_attrs(fn)
     return stray, caches
+
+
+def _empty_dict_attrs(fn) -> list[str]:
+    """the attributes function `fn` binds to an empty dict (`{}` or
+    `dict()`)"""
+    attrs = []
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            v = node.value
+            empty = (isinstance(v, ast.Dict) and not v.keys) or (
+                isinstance(v, ast.Call) and getattr(v.func, "id", None) == "dict"
+                and not v.args and not v.keywords)
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            attrs += [t.attr for t in targets if empty and isinstance(t, ast.Attribute)]
+    return attrs
 
 
 def test_reader_positions_have_one_decode_route():
@@ -553,3 +562,68 @@ def test_reader_positions_have_one_decode_route():
          ("PostingsPartReader._positions_rows_blocks", 12),
          ("PostingsPartReader._positions_rows_blocks", 13), ("helper", 15)],
         ["_pos_decoded", "_pos_np", "_pos_blk_cache"])
+
+
+#: the calls a QueryEngine method may pass the stats path to: the
+#: sidecar builders read the vocabulary at sidecar build time, and
+#: suggest_from_index reads only its verified candidates' df
+STATS_PATH_TAKERS = ("build_suffix_dictionary", "build_suggest_index", "suggest_from_index")
+
+
+def _vocabulary_reads(source: str):
+    """(stats reads, memo touches, memo dicts) of an engine.py source:
+    (method, line) of every `self._stats_path` in a QueryEngine method
+    but `__init__` that is not an argument of a STATS_PATH_TAKERS call,
+    (method, line) of every `self._expansions` outside `_expand` and
+    `__init__`, and the attributes `__init__` binds to an empty dict."""
+    cls = next(n for n in ast.parse(source).body
+               if isinstance(n, ast.ClassDef) and n.name == "QueryEngine")
+    reads, touches, dicts = [], [], []
+    for fn in cls.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        passed = {id(a) for node in ast.walk(fn) if isinstance(node, ast.Call)
+                  and (getattr(node.func, "id", None)
+                       or getattr(node.func, "attr", None)) in STATS_PATH_TAKERS
+                  for a in node.args}
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                continue
+            if node.attr == "_stats_path" and fn.name != "__init__" and id(node) not in passed:
+                reads.append((fn.name, node.lineno))
+            if node.attr == "_expansions" and fn.name not in ("_expand", "__init__"):
+                touches.append((fn.name, node.lineno))
+        if fn.name == "__init__":
+            dicts = _empty_dict_attrs(fn)
+    return reads, touches, dicts
+
+
+def test_vocabulary_is_read_once():
+    """QueryEngine reads term_stats.parquet once, in `__init__`, into
+    the resident sorted vocabulary and df dict, and memoizes every
+    expansion kind in one dict that only `_expand` touches.  A parquet
+    read per expansion miss, or a per-kind cache with its own copy of
+    the cap rule, fails here."""
+    reads, touches, dicts = _vocabulary_reads(
+        open(os.path.join(STATE_DIR, "engine.py")).read())
+    assert not reads, f"stats parquet read outside __init__: {reads}"
+    assert not touches, f"expansion memo touched outside _expand: {touches}"
+    assert dicts == ["_expansions"], f"QueryEngine memo dicts: {dicts}"
+    probe = ("class QueryEngine:\n"
+             "    def __init__(self, d):\n"
+             "        self._stats_path = os.path.join(d, 'term_stats.parquet')\n"
+             "        stats = pq.read_table(self._stats_path)\n"
+             "        self._prefix_cache: dict[str, list[str]] = {}\n"
+             "        self._expansions = {}\n"
+             "    def expand_prefix(self, prefix):\n"
+             "        hit = self._prefix_cache.get(prefix)\n"
+             "        t = pads.dataset(self._stats_path, format='parquet')\n"
+             "        self._expansions.clear()\n"
+             "    def suggest(self, term):\n"
+             "        build_suggest_index(self._stats_path, sdir, 2)\n"
+             "        return suggest_from_index(sdir, self._stats_path, term)\n"
+             "    def _expand(self, key):\n"
+             "        return self._expansions.get(key)\n")
+    assert _vocabulary_reads(probe) == (
+        [("expand_prefix", 9)], [("expand_prefix", 10)], ["_prefix_cache", "_expansions"])

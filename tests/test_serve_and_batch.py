@@ -289,26 +289,6 @@ def test_merge_rejects_duplicate_docs(ray_session, tmp_path):
         merge_indexes([str(tmp_path / "x"), str(tmp_path / "y")], str(tmp_path / "z"))
 
 
-def test_lazy_stats_mode_matches_eager(ray_session, tmp_path):
-    import ray.data
-
-    from chearch_ray.config import EngineConfig
-    from chearch_ray.pipelines.build import build_index
-    from chearch_ray.sources.corpus import synthetic_corpus
-    from chearch_ray.state.engine import QueryEngine
-
-    cfg = EngineConfig(num_segments=2, num_term_shards=2)
-    build_index(ray.data.from_arrow(synthetic_corpus(100, seed=42)), str(tmp_path / "lz"), cfg)
-    eager = QueryEngine(str(tmp_path / "lz"), use_actors=False)
-    lazy = QueryEngine(str(tmp_path / "lz"), use_actors=False, stats_mode="lazy")
-    for t in ("def", "return", "__known_7__", "__never_present__"):
-        assert lazy.df(t) == eager.df(t), t
-    got = lazy.search("def return", k=5)
-    want = eager.search("def return", k=5)
-    assert got["doc_id"].to_pylist() == want["doc_id"].to_pylist()
-    assert got["score"].to_pylist() == want["score"].to_pylist()
-
-
 def test_online_flush_roll(ray_session, tmp_path):
     from chearch_ray.config import EngineConfig
     from chearch_ray.sources.corpus import synth_row
